@@ -5,10 +5,9 @@
  * has a non-empty traversal stack (or a node in flight). CoopRT fills
  * idle lanes with stolen work and shortens the whole trace.
  *
- * Built on the ray-provenance recorder (src/raytrace/): the recorder
- * samples the same late warp the legacy armTimeline path recorded
- * (all 32 lanes, SM 0, 60 trace_rays skipped) and its lane-edge log
- * replays into the identical rendered timeline.
+ * Built on the ray-provenance recorder (src/raytrace/): it samples
+ * one late warp (all 32 lanes, SM 0, 60 trace_rays skipped) and
+ * raytrace::laneTimeline renders its lane-edge log.
  */
 
 #include "bench_util.hpp"

@@ -92,6 +92,7 @@
 #include <sstream>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "core/build_info.hpp"
 #include "diff/diff.hpp"
 #include "exec/exec.hpp"
@@ -313,13 +314,15 @@ main(int argc, char **argv)
                 return usage(
                     "unknown shader (pt|ao|sh|knn|radius|contain)");
         } else if (a == "--resolution") {
-            resolution = std::atoi(next("--resolution"));
+            resolution = cli::intArg("--resolution", next("--resolution"),
+                                     1, 16384);
         } else if (a == "--jobs") {
-            copt.jobs = std::atoi(next("--jobs"));
+            copt.jobs = cli::intArg("--jobs", next("--jobs"), 0, 1024);
         } else if (a == "--retries") {
-            copt.retries = std::atoi(next("--retries"));
+            copt.retries = cli::intArg("--retries", next("--retries"), 0);
         } else if (a == "--timeout-s") {
-            copt.timeout_s = std::atof(next("--timeout-s"));
+            copt.timeout_s =
+                cli::realArg("--timeout-s", next("--timeout-s"), true);
         } else if (a == "--json-out") {
             json_out = next("--json-out");
         } else if (a == "--report-dir") {
@@ -338,17 +341,14 @@ main(int argc, char **argv)
             copt.memscope_dir = next("--memscope-dir");
         } else if (a == "--ray-sample-k") {
             copt.ray_config.sample_k =
-                std::atoi(next("--ray-sample-k"));
-            if (copt.ray_config.sample_k <= 0)
-                return usage("--ray-sample-k wants a positive value");
+                cli::intArg("--ray-sample-k", next("--ray-sample-k"), 1);
         } else if (a == "--telemetry-dir") {
             copt.telemetry_dir = next("--telemetry-dir");
         } else if (a == "--telemetry-log") {
             telemetry_log = next("--telemetry-log");
         } else if (a == "--heartbeat-s") {
-            heartbeat_s = std::atof(next("--heartbeat-s"));
-            if (heartbeat_s <= 0.0)
-                return usage("--heartbeat-s wants a positive value");
+            heartbeat_s =
+                cli::realArg("--heartbeat-s", next("--heartbeat-s"));
         } else if (a == "--prom-out") {
             prom_out = next("--prom-out");
         } else if (a == "--csv") {

@@ -105,6 +105,7 @@
 
 #include <optional>
 
+#include "cli_args.hpp"
 #include "core/build_info.hpp"
 #include "core/report.hpp"
 #include "core/simulation.hpp"
@@ -223,14 +224,18 @@ main(int argc, char **argv)
                 return usage(
                     "unknown shader (pt|ao|sh|knn|radius|contain)");
         } else if (a == "--resolution") {
-            cfg.resolution = std::atoi(next("--resolution"));
+            cfg.resolution =
+                cli::intArg("--resolution", next("--resolution"), 1,
+                            16384);
         } else if (a == "--coop") {
             cfg.gpu.trace.coop = true;
         } else if (a == "--subwarp") {
-            cfg.gpu.trace.subwarp_size = std::atoi(next("--subwarp"));
+            cfg.gpu.trace.subwarp_size = cli::intArg(
+                "--subwarp", next("--subwarp"), 4, rtunit::kWarpSize);
         } else if (a == "--warp-buffer") {
             cfg.gpu.trace.warp_buffer_entries =
-                std::atoi(next("--warp-buffer"));
+                cli::intArg("--warp-buffer", next("--warp-buffer"), 1,
+                            64);
         } else if (a == "--prefetch") {
             cfg.gpu.trace.child_prefetch = true;
         } else if (a == "--predictor") {
@@ -240,20 +245,16 @@ main(int argc, char **argv)
         } else if (a == "--mobile") {
             cfg.gpu = gpu::GpuConfig::mobileBench();
         } else if (a == "--bounces") {
-            cfg.pt.max_bounces = std::atoi(next("--bounces"));
+            cfg.pt.max_bounces =
+                cli::intArg("--bounces", next("--bounces"), 0);
         } else if (a == "--query-k") {
-            cfg.query.k = std::atoi(next("--query-k"));
-            if (cfg.query.k <= 0)
-                return usage("--query-k needs a positive value");
+            cfg.query.k = cli::intArg("--query-k", next("--query-k"), 1);
         } else if (a == "--query-radius") {
-            cfg.query.radius =
-                float(std::atof(next("--query-radius")));
-            if (cfg.query.radius <= 0.0f)
-                return usage("--query-radius needs a positive value");
+            cfg.query.radius = float(
+                cli::realArg("--query-radius", next("--query-radius")));
         } else if (a == "--query-steps") {
-            cfg.query.steps = std::atoi(next("--query-steps"));
-            if (cfg.query.steps <= 0)
-                return usage("--query-steps needs a positive value");
+            cfg.query.steps =
+                cli::intArg("--query-steps", next("--query-steps"), 1);
         } else if (a == "--no-oracle") {
             cfg.query.verify = false;
         } else if (a == "--json") {
@@ -267,8 +268,8 @@ main(int argc, char **argv)
         } else if (a == "--trace-filter") {
             trace_opt.filter = next("--trace-filter");
         } else if (a == "--trace-capacity") {
-            trace_opt.ring_capacity =
-                std::size_t(std::atoll(next("--trace-capacity")));
+            trace_opt.ring_capacity = std::size_t(cli::intArg(
+                "--trace-capacity", next("--trace-capacity"), 1));
         } else if (a == "--profile") {
             profile = true;
         } else if (a == "--profile-out") {
@@ -280,7 +281,8 @@ main(int argc, char **argv)
         } else if (a == "--ray-trace") {
             ray_trace = true;
         } else if (a == "--ray-sample-k") {
-            ray_cfg.sample_k = std::atoi(next("--ray-sample-k"));
+            ray_cfg.sample_k =
+                cli::intArg("--ray-sample-k", next("--ray-sample-k"), 1);
             ray_trace = true;
         } else if (a == "--ray-out") {
             ray_out_path = next("--ray-out");
@@ -299,9 +301,8 @@ main(int argc, char **argv)
             telemetry_out_path = next("--telemetry-out");
             telemetry_on = true;
         } else if (a == "--heartbeat-s") {
-            heartbeat_s = std::atof(next("--heartbeat-s"));
-            if (heartbeat_s <= 0.0)
-                return usage("--heartbeat-s needs a positive value");
+            heartbeat_s =
+                cli::realArg("--heartbeat-s", next("--heartbeat-s"));
             telemetry_on = true;
         } else {
             return usage(("unknown flag " + a).c_str());
@@ -351,8 +352,6 @@ main(int argc, char **argv)
     prof::Profiler profiler;
     if (profile)
         cfg.profiler = &profiler;
-    if (ray_trace && ray_cfg.sample_k <= 0)
-        return usage("--ray-sample-k needs a positive value");
     raytrace::Recorder ray(ray_cfg);
     if (ray_trace)
         cfg.ray_recorder = &ray;

@@ -201,9 +201,7 @@ Simulation::timedBuild(const scene::Scene &scene, double *seconds)
 }
 
 RunOutcome
-Simulation::run(const RunConfig &config, shaders::Film *film,
-                stats::TimelineRecorder *timeline,
-                int timeline_skip) const
+Simulation::run(const RunConfig &config, shaders::Film *film) const
 {
     const int res = config.resolution > 0
                         ? config.resolution
@@ -291,7 +289,7 @@ Simulation::run(const RunConfig &config, shaders::Film *film,
     {
         const auto simloop = telemetry::Recorder::span(
             config.telemetry, telemetry::Phase::SimLoop);
-        out.gpu = g.run(ptrs, timeline, timeline_skip);
+        out.gpu = g.run(ptrs);
     }
 
     power::EnergyModel energy(config.energy);

@@ -204,20 +204,9 @@ class Simulation
     /** Table 2 columns for this scene. */
     bvh::TreeStats treeStats() const { return flat_.stats(); }
 
-    /**
-     * Run one configuration.
-     *
-     * @param film          Optional output image.
-     * @param timeline      Optional Fig.-11 per-thread timeline
-     *                      recorder (records one trace on SM 0).
-     * @param timeline_skip Trace_rays to skip before recording —
-     *                      lets callers capture a late, divergent
-     *                      trace as the paper's Fig. 11 does.
-     */
+    /** Run one configuration; @p film is an optional output image. */
     RunOutcome run(const RunConfig &config,
-                   shaders::Film *film = nullptr,
-                   stats::TimelineRecorder *timeline = nullptr,
-                   int timeline_skip = 0) const;
+                   shaders::Film *film = nullptr) const;
 
   private:
     /** buildWideBvh timed with telemetry's wall clock; fills

@@ -96,9 +96,7 @@ Gpu::sampleActivity(std::uint64_t cycle)
 }
 
 GpuRunResult
-Gpu::run(const std::vector<WarpProgram *> &programs,
-         stats::TimelineRecorder *timeline, int timeline_skip,
-         bool warm_memory)
+Gpu::run(const std::vector<WarpProgram *> &programs, bool warm_memory)
 {
     // Fresh machine state per run (optionally keeping cache contents
     // warm; timing/statistics always restart with the clock).
@@ -116,43 +114,29 @@ Gpu::run(const std::vector<WarpProgram *> &programs,
                 return memsys_.fetch(i, addr, bytes, now);
             }));
     }
-    if (prof_ != nullptr) {
+    if (prof_ != nullptr)
         prof_->reset();
-        // The level callback attributes a response-starved cycle to
-        // the hierarchy level that served the fetch; it is read right
-        // after issue, while MemorySystem::lastFetchDepth() still
-        // refers to this fetch.
-        for (std::size_t i = 0; i < sms_.size(); ++i)
-            sms_[i]->attachProf(&prof_->unit(int(i)), [this] {
-                return cooprt::prof::MemLevel(
-                    memsys_.lastFetchDepth());
-            });
-    }
-    if (ray_ != nullptr) {
+    if (ray_ != nullptr)
         ray_->reset();
-        // Same serving-level contract as the profiler callback above;
-        // when both are attached the profiler's value is reused, so
-        // attaching the recorder never perturbs prof attribution.
-        for (std::size_t i = 0; i < sms_.size(); ++i)
-            sms_[i]->attachRayTrace(&ray_->unit(int(i)), [this] {
-                return cooprt::prof::MemLevel(
-                    memsys_.lastFetchDepth());
-            });
-    }
-    if (mscope_ != nullptr) {
+    if (mscope_ != nullptr)
         mscope_->reset();
-        // The unit scopes tag node fetches in the RT units; the cache
-        // and DRAM scopes hook the hierarchy at its fetch choke point
-        // (where the conservation identity is audited in check
-        // builds). Same serving-level contract as the profiler.
-        memsys_.attachMemscope(mscope_);
-        for (std::size_t i = 0; i < sms_.size(); ++i)
-            sms_[i]->attachMemscope(&mscope_->unit(int(i)), [this] {
-                return cooprt::prof::MemLevel(
-                    memsys_.lastFetchDepth());
-            });
-    } else {
-        memsys_.attachMemscope(nullptr); // may be set from a prior run
+    // The memscope cache and DRAM scopes hook the hierarchy at its
+    // fetch choke point (where the conservation identity is audited
+    // in check builds); null detaches a prior run's collector.
+    memsys_.attachMemscope(mscope_);
+    for (std::size_t i = 0; i < sms_.size(); ++i) {
+        std::vector<rtunit::RtObserver *> observers;
+        if (prof_ != nullptr)
+            observers.push_back(&prof_->unit(int(i)));
+        if (mscope_ != nullptr)
+            observers.push_back(&mscope_->unit(int(i)));
+        if (ray_ != nullptr)
+            observers.push_back(&ray_->unit(int(i)));
+        // Read right after issue, while lastFetchDepth() still refers
+        // to the fetch just issued.
+        sms_[i]->attachObservers(std::move(observers), [this] {
+            return cooprt::prof::MemLevel(memsys_.lastFetchDepth());
+        });
     }
     if (session_ != nullptr) {
         // Each run restarts the session's collected data; component
@@ -175,8 +159,6 @@ Gpu::run(const std::vector<WarpProgram *> &programs,
         if (session_->tracer() != nullptr)
             session_->tracer()->processName(cfg_.num_sms, "GPU");
     }
-    if (timeline != nullptr)
-        sms_[0]->rtUnit().armTimeline(timeline, timeline_skip);
     // One GPU-wide intersection-predictor table (see RtUnit docs).
     for (std::size_t i = 1; i < sms_.size(); ++i)
         sms_[i]->rtUnit().sharePredictor(sms_[0]->rtUnit());

@@ -172,18 +172,13 @@ class Gpu
      * Gigathread engine does. The Gpu instance can be reused; state
      * is reset at the start of each run.
      *
-     * @param timeline Optional Fig.-11 recorder armed on SM 0's RT
-     *                 unit (records the first warp it sees).
-     */
-    /**
      * @param warm_memory Keep cache/DRAM state from the previous
      *        run() (used by multi-pass schedulers like per-bounce
      *        compaction, where the machine is not actually reset
      *        between passes). Statistics still restart.
      */
     GpuRunResult run(const std::vector<WarpProgram *> &programs,
-                     stats::TimelineRecorder *timeline = nullptr,
-                     int timeline_skip = 0, bool warm_memory = false);
+                     bool warm_memory = false);
 
   private:
     void sampleActivity(std::uint64_t cycle);

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "raytrace/raytrace.hpp"
-
 namespace cooprt::gpu {
 
 StreamingMultiprocessor::StreamingMultiprocessor(
@@ -39,29 +37,11 @@ StreamingMultiprocessor::attachTrace(cooprt::trace::Session *session)
 }
 
 void
-StreamingMultiprocessor::attachProf(
-    cooprt::prof::RtUnitProfile *profile,
-    rtunit::RtUnit::ProfLevelFn level)
+StreamingMultiprocessor::attachObservers(
+    std::vector<rtunit::RtObserver *> observers,
+    rtunit::RtUnit::LevelFn level)
 {
-    prof_ = profile;
-    rt_.attachProf(profile, std::move(level));
-}
-
-void
-StreamingMultiprocessor::attachRayTrace(
-    cooprt::raytrace::UnitRecorder *recorder,
-    rtunit::RtUnit::ProfLevelFn level)
-{
-    ray_rec_ = recorder;
-    rt_.attachRayTrace(recorder, std::move(level));
-}
-
-void
-StreamingMultiprocessor::attachMemscope(
-    cooprt::memscope::UnitScope *scope,
-    rtunit::RtUnit::ProfLevelFn level)
-{
-    rt_.attachMemscope(scope, std::move(level));
+    rt_.attachObservers(std::move(observers), std::move(level));
 }
 
 bool
@@ -141,8 +121,8 @@ StreamingMultiprocessor::submitReady(std::uint64_t now)
         wait_slot_.pop_front();
         // Waiting for a warp-buffer slot is an RT-class stall.
         stalls_.rt += now - ctx->wait_since;
-        if (prof_ != nullptr)
-            prof_->addWarpBufferFull(now - ctx->wait_since);
+        for (rtunit::RtObserver *o : rt_.observers())
+            o->onBufferWait(now - ctx->wait_since);
         if (now > ctx->wait_since)
             COOPRT_TRACE_COMPLETE(tracer_, "sm", "wait_warp_buffer",
                                   sm_id_, ctx->warp_id,
@@ -160,10 +140,10 @@ StreamingMultiprocessor::submitReady(std::uint64_t now)
             [this, raw](int, const rtunit::TraceResult &res) {
                 onRetire(std::unique_ptr<WarpCtx>(raw), res);
             });
-        // Post-submit (the record survives an instant retire): name
-        // the provenance record after the GPU-wide warp id.
-        if (ray_rec_ != nullptr)
-            ray_rec_->setWarpId(slot, warp_id);
+        // Post-submit (a record survives an instant retire): name
+        // the warp after its GPU-wide id.
+        for (rtunit::RtObserver *o : rt_.observers())
+            o->onWarpId(slot, warp_id);
     }
 }
 

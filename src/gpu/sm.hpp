@@ -60,34 +60,14 @@ class StreamingMultiprocessor
     void attachTrace(cooprt::trace::Session *session);
 
     /**
-     * Attach the stall-attribution profiler: the RT unit classifies
-     * every warp-resident cycle into @p profile, and this SM adds
-     * the warp-buffer-full wait cycles (trace issued, no free slot)
-     * it measures at submit time. @p level attributes
-     * response-starved cycles to their serving memory level. Null
-     * profile disables profiling (the default; bit-identical runs).
+     * Attach the observers of this SM's RT unit (see
+     * RtUnit::attachObservers). The SM adds two events of its own:
+     * the cycles each trace waited for a free warp-buffer slot, and
+     * the GPU-wide id of every submitted warp. An empty list detaches;
+     * behaviour is bit-identical either way.
      */
-    void attachProf(cooprt::prof::RtUnitProfile *profile,
-                    rtunit::RtUnit::ProfLevelFn level);
-
-    /**
-     * Attach the ray-level provenance recorder: the RT unit logs the
-     * lifecycle events of sampled rays and this SM associates each
-     * submitted warp's GPU-wide id with its record (so Perfetto ray
-     * tracks and the critical-path report name real warps). Null
-     * detaches; behaviour is bit-identical without a recorder.
-     */
-    void attachRayTrace(cooprt::raytrace::UnitRecorder *recorder,
-                        rtunit::RtUnit::ProfLevelFn level);
-
-    /**
-     * Attach the BVH-topology profiler: the RT unit tags every node
-     * fetch into @p scope with node id, depth and the serving level
-     * read through @p level. Null detaches; behaviour is
-     * bit-identical without it.
-     */
-    void attachMemscope(cooprt::memscope::UnitScope *scope,
-                        rtunit::RtUnit::ProfLevelFn level);
+    void attachObservers(std::vector<rtunit::RtObserver *> observers,
+                         rtunit::RtUnit::LevelFn level);
 
     /** True when every assigned warp has finished. */
     bool done() const;
@@ -132,8 +112,6 @@ class StreamingMultiprocessor
     rtunit::RtUnit rt_;
     StallBreakdown stalls_;
     cooprt::trace::Tracer *tracer_ = nullptr;
-    cooprt::prof::RtUnitProfile *prof_ = nullptr;
-    cooprt::raytrace::UnitRecorder *ray_rec_ = nullptr;
 
     /** Warps assigned but not yet resident. */
     std::deque<std::pair<int, WarpProgram *>> pending_;

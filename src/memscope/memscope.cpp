@@ -79,6 +79,13 @@ UnitScope::record(std::uint32_t node_id, int depth, int level,
 }
 
 void
+UnitScope::onFetch(const rtunit::FetchEvent &f, std::uint64_t)
+{
+    record(f.node_id, f.depth, int(f.level), std::popcount(f.consumers),
+           int(f.phase), f.bytes);
+}
+
+void
 UnitScope::reset()
 {
     nodes.clear();

@@ -50,6 +50,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "rtunit/rt_observer.hpp"
 #include "trace/json.hpp"
 #include "trace/registry.hpp"
 
@@ -92,11 +93,12 @@ struct DepthCounters
 };
 
 /**
- * Per-RT-unit accumulation, fed by `RtUnit` at fetch-issue time.
- * Node ids index `nodes` directly (they are dense per FlatBvh);
- * addresses are stable for the lifetime of the owning Collector.
+ * Per-RT-unit accumulation, fed by the unit's fetch events (it is
+ * an `rtunit::RtObserver`). Node ids index `nodes` directly (they are
+ * dense per FlatBvh); addresses are stable for the lifetime of the
+ * owning Collector.
  */
-struct UnitScope
+struct UnitScope : rtunit::RtObserver
 {
     std::vector<NodeCounters> nodes;   ///< indexed by stable node id
     std::vector<DepthCounters> depths; ///< indexed by tree depth
@@ -107,6 +109,13 @@ struct UnitScope
     void record(std::uint32_t node_id, int depth, int level,
                 int lanes, int phase, std::uint32_t bytes);
     void reset();
+
+    /** Every fetch, tagged; none of the per-lane events. */
+    bool wantsFetchTopology() const override { return true; }
+    bool watchesWarp(int) const override { return false; }
+    /** Tag the fetch: node id, depth, serving level, consumer lanes
+        (the per-depth divergence axis) and traversal phase. */
+    void onFetch(const rtunit::FetchEvent &f, std::uint64_t) override;
 };
 
 /**

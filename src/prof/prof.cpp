@@ -1,6 +1,7 @@
 #include "prof/prof.hpp"
 
 #include <ostream>
+#include <string>
 
 #include "trace/json.hpp"
 
@@ -104,7 +105,46 @@ RtUnitProfile::add(Bucket b, Phase p, std::uint64_t weight)
 }
 
 void
-RtUnitProfile::addWarpBufferFull(std::uint64_t cycles)
+RtUnitProfile::onWarpCycles(int slot, const WarpView &v, Phase p,
+                            std::uint64_t weight,
+                            const rtunit::ThreadStatusCounts &lanes)
+{
+    COOPRT_CHECK_ONLY(const std::uint64_t before = residentBucketSum();)
+    add(classify(v), p, weight);
+    threads.busy += lanes.busy * weight;
+    threads.waiting += lanes.waiting * weight;
+    threads.inactive += lanes.inactive * weight;
+    COOPRT_CHECK_ONLY(audit_cycles[std::size_t(slot)] +=
+                      residentBucketSum() - before;)
+    (void)slot;
+}
+
+#if COOPRT_CHECK_ENABLED
+void
+RtUnitProfile::onSubmit(int slot, std::uint32_t, std::uint32_t,
+                        std::uint64_t now)
+{
+    audit_submit[std::size_t(slot)] = now;
+    audit_cycles[std::size_t(slot)] = 0;
+}
+
+void
+RtUnitProfile::onRetire(int slot, std::uint64_t now)
+{
+    // Conservation: exactly one bucket increment per resident cycle,
+    // so the buckets credited to a warp sum to its trace latency.
+    const std::uint64_t latency = now - audit_submit[std::size_t(slot)];
+    COOPRT_AUDIT(check_label, "prof.bucket_conservation", now,
+                 audit_cycles[std::size_t(slot)] == latency,
+                 "slot " + std::to_string(slot) + " attributed " +
+                     std::to_string(audit_cycles[std::size_t(slot)]) +
+                     " cycles over a " + std::to_string(latency) +
+                     "-cycle trace");
+}
+#endif
+
+void
+RtUnitProfile::onBufferWait(std::uint64_t cycles)
 {
     // SM-side wait: the warp is not resident in the RT unit yet, so
     // this bucket stays outside resident_cycles and the phase matrix.
@@ -124,7 +164,9 @@ RtUnitProfile::residentBucketSum() const
 void
 RtUnitProfile::reset()
 {
+    std::string label = std::move(check_label);
     *this = RtUnitProfile{};
+    check_label = std::move(label);
 }
 
 Profiler::~Profiler()
@@ -136,8 +178,11 @@ Profiler::~Profiler()
 RtUnitProfile &
 Profiler::unit(int sm_id)
 {
-    while (int(units_.size()) <= sm_id)
+    while (int(units_.size()) <= sm_id) {
         units_.push_back(std::make_unique<RtUnitProfile>());
+        units_.back()->check_label =
+            "prof.sm" + std::to_string(units_.size() - 1);
+    }
     return *units_[std::size_t(sm_id)];
 }
 

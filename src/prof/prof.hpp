@@ -15,9 +15,10 @@
  *
  * The layer is compile-always and runtime-enabled: attach a
  * `Profiler` through `core::RunConfig::profiler` (or `--profile` on
- * simulate_cli) to collect; leave it null and no per-cycle work runs
- * at all — simulated cycle counts are bit-identical either way (the
- * pinned-cycle tests prove it).
+ * simulate_cli) to collect; each SM's `RtUnitProfile` then observes
+ * its RT unit (`rtunit::RtObserver`). Leave it null and no per-cycle
+ * work runs at all — simulated cycle counts are bit-identical either
+ * way (the pinned-cycle tests prove it).
  *
  * Three export views:
  *   - hierarchical JSON summary (`Profiler::writeJson`, also embedded
@@ -40,6 +41,8 @@
 #include <string>
 #include <vector>
 
+#include "check/check.hpp"
+#include "rtunit/rt_observer.hpp"
 #include "trace/registry.hpp"
 
 namespace cooprt::prof {
@@ -157,11 +160,12 @@ struct ThreadStatusCycles
 
 /**
  * Per-RT-unit accumulation: bucket totals, the phase-resolved
- * breakdown, and exact thread-status cycles. Addresses are stable
- * for the lifetime of the owning Profiler (registry probes read them
- * live).
+ * breakdown, and exact thread-status cycles, fed by the unit's
+ * onWarpCycles events and the SM's warp-buffer waits. Addresses are
+ * stable for the lifetime of the owning Profiler (registry probes
+ * read them live).
  */
-struct RtUnitProfile
+struct RtUnitProfile : rtunit::RtObserver
 {
     std::array<std::uint64_t, kNumBuckets> buckets{};
     /** buckets split by traversal phase (RT-resident cycles only). */
@@ -171,15 +175,33 @@ struct RtUnitProfile
         buckets (the conservation invariant). */
     std::uint64_t resident_cycles = 0;
     ThreadStatusCycles threads;
+    /** Invariant-audit label, e.g. "prof.sm0" (check builds). */
+    std::string check_label = "prof";
 
     /** Account @p weight resident-warp cycles to (@p b, @p p). */
     void add(Bucket b, Phase p, std::uint64_t weight);
-    /** SM-side warp-buffer-full wait (outside resident_cycles). */
-    void addWarpBufferFull(std::uint64_t cycles);
     /** Sum over the RT-resident buckets (everything but
         WarpBufferFull); equals resident_cycles by construction. */
     std::uint64_t residentBucketSum() const;
     void reset();
+
+    bool wantsWarpCycles() const override { return true; }
+    bool watchesWarp(int) const override { return false; }
+    /** Classify and account one resident warp's cycles. */
+    void onWarpCycles(int slot, const WarpView &v, Phase p,
+                      std::uint64_t weight,
+                      const rtunit::ThreadStatusCounts &lanes) override;
+    /** SM-side warp-buffer-full wait (outside resident_cycles). */
+    void onBufferWait(std::uint64_t cycles) override;
+#if COOPRT_CHECK_ENABLED
+    /** Per-slot conservation ledger: the bucket increments of every
+        warp's cycles must sum to its trace latency at retire. */
+    void onSubmit(int slot, std::uint32_t, std::uint32_t,
+                  std::uint64_t now) override;
+    void onRetire(int slot, std::uint64_t now) override;
+    std::array<std::uint64_t, 64> audit_submit{};
+    std::array<std::uint64_t, 64> audit_cycles{};
+#endif
 };
 
 /**

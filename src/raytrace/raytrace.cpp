@@ -117,9 +117,21 @@ UnitRecorder::rayIndex(int slot, int lane) const
     return lane_ray_[std::size_t(slot)][std::size_t(lane)];
 }
 
+RayRecord *
+UnitRecorder::liveRay(int slot, int owner)
+{
+    const std::int32_t rec = live_rec_[std::size_t(slot)];
+    if (rec < 0)
+        return nullptr;
+    const int ri = rayIndex(slot, owner);
+    if (ri < 0)
+        return nullptr;
+    return &records_[std::size_t(rec)].rays[std::size_t(ri)];
+}
+
 void
-UnitRecorder::onSubmit(int slot, std::uint64_t now,
-                       std::uint32_t active_mask, std::uint32_t root_mask)
+UnitRecorder::onSubmit(int slot, std::uint32_t active_mask,
+                       std::uint32_t root_mask, std::uint64_t now)
 {
     live_rec_[std::size_t(slot)] = -1;
     last_rec_[std::size_t(slot)] = -1;
@@ -193,7 +205,7 @@ UnitRecorder::onSubmit(int slot, std::uint64_t now,
 }
 
 void
-UnitRecorder::setWarpId(int slot, int warp_id)
+UnitRecorder::onWarpId(int slot, int warp_id)
 {
     const std::int32_t rec = last_rec_[std::size_t(slot)];
     if (rec >= 0)
@@ -201,93 +213,79 @@ UnitRecorder::setWarpId(int slot, int warp_id)
 }
 
 void
-UnitRecorder::onPop(int slot, int lane, int owner, std::uint32_t ref_raw,
-                    bool stale, std::uint64_t now)
+UnitRecorder::onFetch(const rtunit::FetchEvent &f, std::uint64_t now)
 {
-    const std::int32_t rec = live_rec_[std::size_t(slot)];
-    if (rec < 0)
+    if (live_rec_[std::size_t(f.slot)] < 0)
         return;
-    const int ri = rayIndex(slot, owner);
-    if (ri < 0)
-        return;
-    RayRecord &r = records_[std::size_t(rec)].rays[std::size_t(ri)];
-    r.live_entries--;
-    if (stale)
-        r.stats.stale_pops++;
-    else
-        r.stats.node_pops++;
-    append(r, RayEvent{now, ref_raw, EventKind::NodePop,
-                       std::int8_t(lane), std::int8_t(stale ? 1 : 0)});
+    // Per consumer lane, in lane order: its pop, then the fetch.
+    const int level = int(f.level);
+    for (int lane = 0; lane < kLanes; ++lane) {
+        if (!(f.consumers & (1u << lane)))
+            continue;
+        RayRecord *r = liveRay(f.slot, f.mains[std::size_t(lane)]);
+        if (r == nullptr)
+            continue;
+        r->live_entries--;
+        r->stats.node_pops++;
+        append(*r, RayEvent{now, f.ref, EventKind::NodePop,
+                            std::int8_t(lane), 0});
+        if (level >= 0 && level < 3)
+            r->stats.level_hist[std::size_t(level)]++;
+        append(*r, RayEvent{now, f.ref, EventKind::FetchIssued,
+                            std::int8_t(lane), std::int8_t(level)});
+    }
 }
 
 void
-UnitRecorder::onFetchIssued(int slot, int lane, int owner,
-                            std::uint32_t ref_raw, int level,
-                            std::uint64_t now)
+UnitRecorder::onStaleDrop(int slot, int lane, int owner,
+                          std::uint32_t ref, std::uint64_t now)
 {
-    const std::int32_t rec = live_rec_[std::size_t(slot)];
-    if (rec < 0)
+    RayRecord *r = liveRay(slot, owner);
+    if (r == nullptr)
         return;
-    const int ri = rayIndex(slot, owner);
-    if (ri < 0)
-        return;
-    RayRecord &r = records_[std::size_t(rec)].rays[std::size_t(ri)];
-    if (level >= 0 && level < 3)
-        r.stats.level_hist[std::size_t(level)]++;
-    append(r, RayEvent{now, ref_raw, EventKind::FetchIssued,
-                       std::int8_t(lane), std::int8_t(level)});
+    r->live_entries--;
+    r->stats.stale_pops++;
+    append(*r, RayEvent{now, ref, EventKind::NodePop, std::int8_t(lane),
+                        1});
 }
 
 void
-UnitRecorder::onFetchConsumed(int slot, int lane, int owner,
-                              std::uint32_t ref_raw, int level,
-                              std::uint64_t now)
+UnitRecorder::onConsume(int slot, int lane, int owner, std::uint32_t ref,
+                        prof::MemLevel level, std::uint64_t now)
 {
-    const std::int32_t rec = live_rec_[std::size_t(slot)];
-    if (rec < 0)
+    RayRecord *r = liveRay(slot, owner);
+    if (r == nullptr)
         return;
-    const int ri = rayIndex(slot, owner);
-    if (ri < 0)
-        return;
-    RayRecord &r = records_[std::size_t(rec)].rays[std::size_t(ri)];
-    r.stats.node_visits++;
-    append(r, RayEvent{now, ref_raw, EventKind::FetchConsumed,
-                       std::int8_t(lane), std::int8_t(level)});
+    r->stats.node_visits++;
+    append(*r, RayEvent{now, ref, EventKind::FetchConsumed,
+                        std::int8_t(lane), std::int8_t(level)});
 }
 
 void
-UnitRecorder::onNodePush(int slot, int lane, int owner,
-                         std::uint32_t ref_raw, std::uint64_t now)
+UnitRecorder::onPush(int slot, int lane, int owner, std::uint32_t ref,
+                     std::uint64_t now)
 {
-    const std::int32_t rec = live_rec_[std::size_t(slot)];
-    if (rec < 0)
+    RayRecord *r = liveRay(slot, owner);
+    if (r == nullptr)
         return;
-    const int ri = rayIndex(slot, owner);
-    if (ri < 0)
-        return;
-    RayRecord &r = records_[std::size_t(rec)].rays[std::size_t(ri)];
-    r.live_entries++;
-    r.stats.node_pushes++;
-    r.stats.stack_hwm =
-        std::max(r.stats.stack_hwm, std::uint64_t(r.live_entries));
-    append(r, RayEvent{now, ref_raw, EventKind::NodePush,
-                       std::int8_t(lane), -1});
+    r->live_entries++;
+    r->stats.node_pushes++;
+    r->stats.stack_hwm =
+        std::max(r->stats.stack_hwm, std::uint64_t(r->live_entries));
+    append(*r, RayEvent{now, ref, EventKind::NodePush, std::int8_t(lane),
+                        -1});
 }
 
 void
 UnitRecorder::onLeafTests(int slot, int lane, int owner,
                           std::uint32_t tests, std::uint64_t now)
 {
-    const std::int32_t rec = live_rec_[std::size_t(slot)];
-    if (rec < 0 || tests == 0)
+    RayRecord *r = tests == 0 ? nullptr : liveRay(slot, owner);
+    if (r == nullptr)
         return;
-    const int ri = rayIndex(slot, owner);
-    if (ri < 0)
-        return;
-    RayRecord &r = records_[std::size_t(rec)].rays[std::size_t(ri)];
-    r.stats.leaf_tests += tests;
-    append(r, RayEvent{now, tests, EventKind::LeafTest,
-                       std::int8_t(lane), -1});
+    r->stats.leaf_tests += tests;
+    append(*r, RayEvent{now, tests, EventKind::LeafTest,
+                        std::int8_t(lane), -1});
 }
 
 void
@@ -341,13 +339,15 @@ UnitRecorder::onSteal(int slot, int donor, int recipient, int owner,
 }
 
 void
-UnitRecorder::onLaneEdge(int slot, int lane, bool busy, std::uint64_t now)
+UnitRecorder::onLaneEdges(int slot, std::uint32_t busy_mask,
+                          std::uint64_t now)
 {
     const std::int32_t rec = live_rec_[std::size_t(slot)];
     if (rec < 0)
         return;
-    records_[std::size_t(rec)].lane_edges.push_back(
-        {now, std::int8_t(lane), busy});
+    for (int lane = 0; lane < kLanes; ++lane)
+        records_[std::size_t(rec)].lane_edges.push_back(
+            {now, std::int8_t(lane), (busy_mask & (1u << lane)) != 0});
 }
 
 void

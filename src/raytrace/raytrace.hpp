@@ -9,10 +9,10 @@
  * walk through the BVH looked like. This subsystem closes the gap:
  * a compile-always, runtime-enabled recorder samples K rays per
  * warp and logs every lifecycle event of each sampled ray inside
- * `RtUnit` — launch, node pop/push, fetch issued (with the serving
- * memory level), fetch response consumed, leaf test, LBU steal
- * donated/received, subwarp reform, retirement — each stamped with
- * the cycle it happened on.
+ * `RtUnit` (as an `rtunit::RtObserver`) — launch, node pop/push,
+ * fetch issued (with the serving memory level), fetch response
+ * consumed, leaf test, LBU steal donated/received, subwarp reform,
+ * retirement — each stamped with the cycle it happened on.
  *
  * Three exports are derived from the records:
  *   1. per-warp Perfetto tracks through `trace::Tracer`
@@ -30,8 +30,8 @@
  * depends only on (config seed, SM id, the warp's per-unit
  * submission ordinal, lane) — never on wall clock, host thread or
  * `--jobs`, so records are bit-stable across campaign worker
- * counts. When the recorder is not attached the hot paths pay one
- * null-pointer branch (pinned-cycle tests prove bit-identity).
+ * counts. When no observer is attached the hot paths pay one empty
+ * loop per event site (pinned-cycle tests prove bit-identity).
  */
 
 #ifndef COOPRT_RAYTRACE_RAYTRACE_HPP
@@ -46,6 +46,7 @@
 
 #include "check/check.hpp"
 #include "prof/prof.hpp"
+#include "rtunit/rt_observer.hpp"
 #include "stats/timeline.hpp"
 #include "trace/json.hpp"
 
@@ -56,8 +57,8 @@ class Registry;
 
 namespace cooprt::raytrace {
 
-/** SIMD width mirrored from rtunit (static_assert'd in rt_unit.cpp). */
-constexpr int kLanes = 32;
+/** SIMD width (lanes per warp). */
+constexpr int kLanes = rtunit::kWarpSize;
 
 /** Lifecycle event kinds of one sampled ray (DESIGN.md §13 schema). */
 enum class EventKind : std::uint8_t {
@@ -207,78 +208,48 @@ struct RecorderStats
 };
 
 /**
- * Per-RT-unit recording surface. `RtUnit` calls the on* hooks (all
- * guarded by a sampled-slot lookup that early-outs in O(1)); the
- * owning `Recorder` aggregates the results. Not thread-safe — one
- * unit is always ticked by one host thread.
+ * Per-RT-unit recording surface: it observes one `RtUnit` and keeps
+ * the records of the warps it samples; the owning `Recorder`
+ * aggregates the results. Unsampled warps are not watched, so the
+ * unit sends them no per-lane events. Not thread-safe — one unit is always ticked by one host
+ * thread.
  */
-class UnitRecorder
+class UnitRecorder : public rtunit::RtObserver
 {
   public:
     UnitRecorder(int sm, const RecorderConfig *cfg);
 
     int sm() const { return sm_; }
 
-    /** True when the warp in @p slot has sampled rays. */
+    /** All-lane busy edges, with RecorderConfig::lane_timeline. */
+    bool wantsLaneEdges() const override { return cfg_->lane_timeline; }
+    /** Only sampled warps need their per-lane events. */
     bool
-    slotSampled(int slot) const
+    watchesWarp(int slot) const override
     {
-        return live_rec_[slot] >= 0;
+        return live_rec_[std::size_t(slot)] >= 0;
     }
 
-    /** True when @p slot wants all-lane busy edges recorded. */
-    bool
-    wantLaneEdges(int slot) const
-    {
-        return cfg_->lane_timeline && live_rec_[slot] >= 0;
-    }
-
-    /**
-     * Warp entered @p slot at @p now. @p active_mask = lanes with a
-     * ray, @p root_mask = lanes whose root push survived (primCount
-     * and t-entry filters). Decides sampling for the whole warp.
-     */
-    void onSubmit(int slot, std::uint64_t now, std::uint32_t active_mask,
-                  std::uint32_t root_mask);
-
-    /** Associate the GPU-wide warp id (valid even after retire). */
-    void setWarpId(int slot, int warp_id);
-
-    /** Stack pop on @p lane for ray @p owner; stale = eliminated. */
-    void onPop(int slot, int lane, int owner, std::uint32_t ref_raw,
-               bool stale, std::uint64_t now);
-
-    /** Node fetch issued; @p level = serving memory level (0/1/2). */
-    void onFetchIssued(int slot, int lane, int owner,
-                       std::uint32_t ref_raw, int level,
-                       std::uint64_t now);
-
-    /** Fetch response consumed by @p lane for ray @p owner. */
-    void onFetchConsumed(int slot, int lane, int owner,
-                         std::uint32_t ref_raw, int level,
-                         std::uint64_t now);
-
-    /** Child pushed on @p lane's stack for ray @p owner. */
-    void onNodePush(int slot, int lane, int owner,
-                    std::uint32_t ref_raw, std::uint64_t now);
-
-    /** @p tests triangles intersected at a leaf for ray @p owner. */
-    void onLeafTests(int slot, int lane, int owner, std::uint32_t tests,
-                     std::uint64_t now);
-
-    /**
-     * LBU moved the TOS entry of ray @p owner from lane @p donor to
-     * lane @p recipient; @p reform = the helper switched owners
-     * (subwarp reformation).
-     */
+    /** Decides sampling for the whole warp and logs the launches. */
+    void onSubmit(int slot, std::uint32_t active_mask,
+                  std::uint32_t root_mask, std::uint64_t now) override;
+    /** Names the warp's record (valid even after an instant retire). */
+    void onWarpId(int slot, int warp_id) override;
+    void onFetch(const rtunit::FetchEvent &f, std::uint64_t now) override;
+    void onStaleDrop(int slot, int lane, int owner, std::uint32_t ref,
+                     std::uint64_t now) override;
+    void onPush(int slot, int lane, int owner, std::uint32_t ref,
+                std::uint64_t now) override;
     void onSteal(int slot, int donor, int recipient, int owner,
-                 bool reform, std::uint64_t now);
-
-    /** Lane busy/idle edge (only called when wantLaneEdges). */
-    void onLaneEdge(int slot, int lane, bool busy, std::uint64_t now);
-
-    /** Warp in @p slot retired at @p now; closes its records. */
-    void onRetire(int slot, std::uint64_t now);
+                 bool reform, std::uint64_t now) override;
+    void onConsume(int slot, int lane, int owner, std::uint32_t ref,
+                   prof::MemLevel level, std::uint64_t now) override;
+    void onLeafTests(int slot, int lane, int owner, std::uint32_t tests,
+                     std::uint64_t now) override;
+    void onLaneEdges(int slot, std::uint32_t busy_mask,
+                     std::uint64_t now) override;
+    /** Closes the warp's records. */
+    void onRetire(int slot, std::uint64_t now) override;
 
     /** Invariant-audit label, e.g. "raytrace.sm0" (check builds). */
     void setCheckLabel(std::string label) { label_ = std::move(label); }
@@ -293,6 +264,8 @@ class UnitRecorder
     bool append(RayRecord &ray, const RayEvent &ev);
     /** Ray index of @p lane in the slot's live record, or -1. */
     int rayIndex(int slot, int lane) const;
+    /** Live record of sampled ray @p owner in @p slot, or nullptr. */
+    RayRecord *liveRay(int slot, int owner);
 
     int sm_ = 0;
     const RecorderConfig *cfg_;
@@ -301,7 +274,7 @@ class UnitRecorder
     std::uint64_t warps_sampled_ = 0;
     /** slot -> live record index (-1 = not sampled / retired). */
     std::array<std::int32_t, 64> live_rec_{};
-    /** slot -> last record index, surviving retire (setWarpId). */
+    /** slot -> last record index, surviving retire (onWarpId). */
     std::array<std::int32_t, 64> last_rec_{};
     /** slot x lane -> index into the record's rays (-1 = unsampled). */
     std::array<std::array<std::int8_t, kLanes>, 64> lane_ray_{};
@@ -431,8 +404,8 @@ class Recorder
 
 /**
  * Rebuild a fig11-style busy timeline from @p w's lane edges
- * (requires RecorderConfig::lane_timeline). Bit-equivalent to the
- * legacy `Gpu::armTimeline` recorder for the same warp.
+ * (requires RecorderConfig::lane_timeline); the fig11 golden in
+ * tests/raytrace pins the rendering.
  */
 stats::TimelineRecorder laneTimeline(const WarpRecord &w);
 

@@ -6,16 +6,13 @@
 #include <stdexcept>
 
 #include "geom/rng.hpp"
-#include "raytrace/raytrace.hpp"
+#include "prof/prof.hpp"
 
 namespace cooprt::rtunit {
 
 using bvh::NodeRef;
 using geom::kNoHit;
 using geom::Ray;
-
-static_assert(cooprt::raytrace::kLanes == kWarpSize,
-              "raytrace lane count must mirror the warp width");
 
 RtUnit::RtUnit(const bvh::FlatBvh &bvh, const scene::Mesh &mesh,
                const TraceConfig &config, FetchFn fetch)
@@ -89,27 +86,24 @@ RtUnit::attachTrace(cooprt::trace::Registry *registry,
 }
 
 void
-RtUnit::attachProf(cooprt::prof::RtUnitProfile *profile,
-                   ProfLevelFn level)
+RtUnit::attachObservers(std::vector<RtObserver *> observers,
+                        LevelFn level)
 {
-    prof_ = profile;
-    prof_level_ = std::move(level);
-}
-
-void
-RtUnit::attachRayTrace(cooprt::raytrace::UnitRecorder *recorder,
-                       ProfLevelFn level)
-{
-    ray_ = recorder;
-    ray_level_ = std::move(level);
-}
-
-void
-RtUnit::attachMemscope(cooprt::memscope::UnitScope *scope,
-                       ProfLevelFn level)
-{
-    mscope_ = scope;
-    mscope_level_ = std::move(level);
+    if (observers.size() > 32)
+        throw std::invalid_argument(
+            "RtUnit::attachObservers: more than 32 observers");
+    obs_ = std::move(observers);
+    level_ = std::move(level);
+    cycles_mask_ = lane_edges_mask_ = topology_mask_ = 0;
+    for (std::size_t i = 0; i < obs_.size(); ++i) {
+        const std::uint32_t bit = 1u << i;
+        if (obs_[i]->wantsWarpCycles())
+            cycles_mask_ |= bit;
+        if (obs_[i]->wantsLaneEdges())
+            lane_edges_mask_ |= bit;
+        if (obs_[i]->wantsFetchTopology())
+            topology_mask_ |= bit;
+    }
 }
 
 std::size_t
@@ -253,22 +247,9 @@ RtUnit::submit(const TraceJob &job, std::uint64_t now, RetireFn on_retire)
     resident_++;
     COOPRT_CHECK_ONLY(audit_submitted_++;)
 
-    if (timeline_armed_ && timeline_slot_ < 0) {
-        if (timeline_skip_ > 0) {
-            timeline_skip_--;
-        } else {
-            timeline_slot_ = slot;
-            w.record_timeline = true;
-            for (int t = 0; t < kWarpSize; ++t)
-                timeline_->setBusy(t, now,
-                                   threadBusy(w.th[std::size_t(t)]));
-        }
-    }
-
-    if (ray_ != nullptr) {
-        // Sampling decision + launch events; before maybeRetire so a
-        // warp whose rays all missed the scene box still records its
-        // (instant) lifecycle.
+    if (!obs_.empty()) {
+        // Before maybeRetire, so a warp whose rays all missed the
+        // scene box still reports its (instant) lifecycle.
         std::uint32_t active_mask = 0, root_mask = 0;
         for (int t = 0; t < kWarpSize; ++t) {
             const ThreadState &th = w.th[std::size_t(t)];
@@ -277,24 +258,28 @@ RtUnit::submit(const TraceJob &job, std::uint64_t now, RetireFn on_retire)
             if (!th.stack.empty())
                 root_mask |= 1u << t;
         }
-        ray_->onSubmit(slot, now, active_mask, root_mask);
+        for (RtObserver *o : obs_)
+            o->onSubmit(slot, active_mask, root_mask, now);
+        for (std::size_t i = 0; i < obs_.size(); ++i)
+            if (obs_[i]->watchesWarp(slot))
+                w.watchers |= 1u << i;
     }
 
     // A warp whose rays all missed the scene box retires immediately.
     maybeRetire(slot, now);
 
-    if (prof_ != nullptr && w.valid) {
+    if (w.valid) {
         // Attribution starts at the submit cycle. A retired slot may
         // be recycled within one tick, so drop any event bits its
         // previous occupant left behind; and when the end-of-tick
         // pass for this cycle already ran (post-tick submits from the
         // SM), classify the submit cycle right away so it is not
         // lost from the conservation sum.
-        prof_progress_ &= ~(1ull << std::uint64_t(slot));
-        prof_stolen_ &= ~(1ull << std::uint64_t(slot));
-        w.prof_from = now;
-        if (prof_accounted_ == now)
-            profAccount(now, true);
+        progress_ &= ~(1ull << std::uint64_t(slot));
+        stolen_ &= ~(1ull << std::uint64_t(slot));
+        w.cycles_from = now;
+        if (cycles_mask_ != 0 && accounted_ == now)
+            attributeCycles(now, true);
     }
     return slot;
 }
@@ -368,9 +353,10 @@ RtUnit::dropStaleWork(int slot, WarpEntry &w, int tid,
             break;
         const StackEntry dropped = popWork(t);
         stats_.stale_pops++;
-        if (ray_ != nullptr)
-            ray_->onPop(slot, tid, dropped.main, dropped.ref.raw(),
-                        true, now);
+        notify(w.watchers, [&](RtObserver &o) {
+            o.onStaleDrop(slot, tid, dropped.main, dropped.ref.raw(),
+                          now);
+        });
     }
 }
 
@@ -455,33 +441,32 @@ RtUnit::tryIssue(std::uint64_t now)
 
         const std::uint64_t data_ready =
             fetch_(bvh_.addressOf(ref), bvh_.fetchBytes(ref), now);
+        progress_ |= 1ull << std::uint64_t(slot);
+        // One const read of the level for every observer, stored in
+        // the response for the stall attribution.
+        const std::uint32_t fetch_obs = w.watchers | topology_mask_;
         std::int8_t level = 0;
-        if (prof_ != nullptr) {
-            prof_progress_ |= 1ull << std::uint64_t(slot);
-            if (prof_level_)
-                level = std::int8_t(prof_level_());
-        } else if (mscope_ != nullptr && mscope_level_) {
-            // The topology profiler needs the serving level of every
-            // fetch (same const read of MemorySystem::lastFetchDepth
-            // the profiler does).
-            level = std::int8_t(mscope_level_());
-        } else if (ray_ != nullptr && ray_->slotSampled(slot) &&
-                   ray_level_) {
-            // Without the profiler the serving level is only needed
-            // for sampled-ray provenance (same const read of
-            // MemorySystem::lastFetchDepth the profiler does).
-            level = std::int8_t(ray_level_());
+        if (level_ && (fetch_obs | cycles_mask_) != 0)
+            level = std::int8_t(level_());
+        if (fetch_obs != 0) {
+            FetchEvent f;
+            f.slot = slot;
+            f.ref = ref.raw();
+            f.consumers = consumers;
+            f.mains = mains;
+            f.level = prof::MemLevel(level);
+            if (topology_mask_ != 0) {
+                f.node_id = bvh_.nodeIdOf(ref);
+                f.depth = bvh_.depthOf(ref);
+                f.bytes = bvh_.fetchBytes(ref);
+                bool any_work = false;
+                for (int t = 0; t < kWarpSize && !any_work; ++t)
+                    any_work = !w.th[std::size_t(t)].stack.empty();
+                f.phase = prof::phaseOf(w.consumed, any_work);
+            }
+            notify(fetch_obs,
+                   [&](RtObserver &o) { o.onFetch(f, now); });
         }
-        if (ray_ != nullptr && ray_->slotSampled(slot))
-            for (int t = 0; t < kWarpSize; ++t)
-                if (consumers & (1u << t)) {
-                    ray_->onPop(slot, t,
-                                mains[std::size_t(t)], ref.raw(),
-                                false, now);
-                    ray_->onFetchIssued(slot, t,
-                                        mains[std::size_t(t)],
-                                        ref.raw(), level, now);
-                }
         pushResponse(Response{data_ready + cfg_.math_latency, slot,
                               consumers, ref, mains, level});
         w.outstanding++;
@@ -494,25 +479,7 @@ RtUnit::tryIssue(std::uint64_t now)
             stats_.leaf_fetches++;
         else
             stats_.node_fetches++;
-
-        if (mscope_ != nullptr) {
-            // Tag the fetch: stable node id, tree depth, serving
-            // level, consumer lanes (the per-depth divergence axis)
-            // and the warp's traversal phase. Observation only.
-            bool any_work = false;
-            for (int t = 0; t < kWarpSize && !any_work; ++t)
-                any_work = !w.th[std::size_t(t)].stack.empty();
-            mscope_->record(
-                bvh_.nodeIdOf(ref), bvh_.depthOf(ref), int(level),
-                std::popcount(consumers),
-                int(prof::phaseOf(w.prof_consumed, any_work)),
-                bvh_.fetchBytes(ref));
-        }
-
-        if (w.record_timeline)
-            for (int t = 0; t < kWarpSize; ++t)
-                recordBusyEdge(slot, t, now);
-        recordRayEdges(slot, w, now);
+        emitLaneEdges(slot, w, now);
 
         // Round-robin rotates away; greedy keeps serving this warp.
         rr_next_ = cfg_.sched == WarpSchedPolicy::GreedyThenOldest
@@ -608,24 +575,19 @@ RtUnit::runLbu(std::uint64_t now)
                 ThreadState &hs = w.th[std::size_t(helper)];
                 const StackEntry stolen = popSteal(ms);
                 pushWork(hs, stolen);
-                if (ray_ != nullptr)
-                    ray_->onSteal(slot, main, helper, stolen.main,
-                                  hs.main_tid != stolen.main, now);
+                notify(w.watchers, [&](RtObserver &o) {
+                    o.onSteal(slot, main, helper, stolen.main,
+                              hs.main_tid != stolen.main, now);
+                });
                 // The stolen entry carries its ray owner; the helper
                 // records it as its current target (status/debug).
                 hs.main_tid = stolen.main;
                 stats_.steals++;
-                if (prof_ != nullptr)
-                    prof_stolen_ |= 1ull << std::uint64_t(slot);
+                stolen_ |= 1ull << std::uint64_t(slot);
                 any_move = true;
                 COOPRT_TRACE_INSTANT(tracer_, "rtunit.lbu", "steal",
                                      trace_pid_, slot, now);
-
-                if (w.record_timeline) {
-                    recordBusyEdge(slot, helper, now);
-                    recordBusyEdge(slot, main, now);
-                }
-                recordRayEdges(slot, w, now);
+                emitLaneEdges(slot, w, now);
             }
         }
         if (any_move)
@@ -676,8 +638,9 @@ RtUnit::processNode(int slot, WarpEntry &w, int tid, NodeRef ref,
                 }
             }
         }
-        if (ray_ != nullptr)
-            ray_->onLeafTests(slot, tid, main, tested, now);
+        notify(w.watchers, [&](RtObserver &o) {
+            o.onLeafTests(slot, tid, main, tested, now);
+        });
         return;
     }
 
@@ -689,8 +652,9 @@ RtUnit::processNode(int slot, WarpEntry &w, int tid, NodeRef ref,
         const float thit = c.box.intersect(ray, limit);
         if (thit != kNoHit) {
             pushWork(t, {c.ref, thit, std::int8_t(main)});
-            if (ray_ != nullptr)
-                ray_->onNodePush(slot, tid, main, c.ref.raw(), now);
+            notify(w.watchers, [&](RtObserver &o) {
+                o.onPush(slot, tid, main, c.ref.raw(), now);
+            });
             if (cfg_.child_prefetch) {
                 // Treelet-style prefetch: warm the hierarchy with
                 // the child's record so the demand fetch hits L1 or
@@ -724,7 +688,6 @@ RtUnit::processOneResponse(std::uint64_t now)
         return true;
     }
 #endif
-    const bool ray_on = ray_ != nullptr && ray_->slotSampled(r.slot);
     for (int t = 0; t < kWarpSize; ++t) {
         if (!(r.consumers & (1u << t)))
             continue;
@@ -732,9 +695,10 @@ RtUnit::processOneResponse(std::uint64_t now)
         assert(th.pending_main == r.mains[std::size_t(t)]);
         if (th.pending && th.pending_ref == r.ref)
             th.pending = false;
-        if (ray_on)
-            ray_->onFetchConsumed(r.slot, t, r.mains[std::size_t(t)],
-                                  r.ref.raw(), r.level, now);
+        notify(w.watchers, [&](RtObserver &o) {
+            o.onConsume(r.slot, t, r.mains[std::size_t(t)], r.ref.raw(),
+                        prof::MemLevel(r.level), now);
+        });
         processNode(r.slot, w, t, r.ref, r.mains[std::size_t(t)], now);
     }
     w.outstanding--;
@@ -742,19 +706,9 @@ RtUnit::processOneResponse(std::uint64_t now)
     if (COOPRT_MUTATE(DoubleConsumeResponse))
         w.outstanding--;
 
-    if (prof_ != nullptr) {
-        prof_progress_ |= 1ull << std::uint64_t(r.slot);
-        w.prof_consumed = true;
-    } else if (mscope_ != nullptr) {
-        // The topology profiler shares the phase flag (plain observer
-        // store, no timing effect).
-        w.prof_consumed = true;
-    }
-
-    if (w.record_timeline)
-        for (int t = 0; t < kWarpSize; ++t)
-            recordBusyEdge(r.slot, t, now);
-    recordRayEdges(r.slot, w, now);
+    progress_ |= 1ull << std::uint64_t(r.slot);
+    w.consumed = true;
+    emitLaneEdges(r.slot, w, now);
 
     maybeRetire(r.slot, now);
     return true;
@@ -804,15 +758,8 @@ RtUnit::maybeRetire(int slot, std::uint64_t now)
     if (latency_hist_ != nullptr)
         latency_hist_->record(lat);
 
-    if (w.record_timeline) {
-        for (int t = 0; t < kWarpSize; ++t)
-            timeline_->setBusy(t, now, false);
-        timeline_slot_ = -1;
-        timeline_armed_ = false; // record one warp per arm
-    }
-
-    if (ray_ != nullptr)
-        ray_->onRetire(slot, now);
+    for (RtObserver *o : obs_)
+        o->onRetire(slot, now);
 
     RetireFn cb = std::move(w.on_retire);
     w = WarpEntry{};
@@ -825,25 +772,18 @@ RtUnit::maybeRetire(int slot, std::uint64_t now)
 }
 
 void
-RtUnit::recordBusyEdge(int slot, int tid, std::uint64_t now)
+RtUnit::emitLaneEdges(int slot, const WarpEntry &w, std::uint64_t now)
 {
-    if (timeline_ == nullptr || slot != timeline_slot_)
+    const std::uint32_t mask = w.watchers & lane_edges_mask_;
+    if (mask == 0)
         return;
-    const WarpEntry &w = warps_[std::size_t(slot)];
-    timeline_->setBusy(tid, now, threadBusy(w.th[std::size_t(tid)]));
-}
-
-void
-RtUnit::recordRayEdges(int slot, const WarpEntry &w, std::uint64_t now)
-{
-    if (ray_ == nullptr || !ray_->wantLaneEdges(slot))
-        return;
-    // All-lane edges at every state-changing site; the timeline
-    // recorder registers transitions only, so this reproduces the
-    // legacy armTimeline recording exactly (fig11).
+    // The whole busy mask at every state-changing site; a timeline
+    // registers transitions only (fig11).
+    std::uint32_t busy = 0;
     for (int t = 0; t < kWarpSize; ++t)
-        ray_->onLaneEdge(slot, t, threadBusy(w.th[std::size_t(t)]),
-                         now);
+        if (threadBusy(w.th[std::size_t(t)]))
+            busy |= 1u << t;
+    notify(mask, [&](RtObserver &o) { o.onLaneEdges(slot, busy, now); });
 }
 
 void
@@ -857,26 +797,25 @@ RtUnit::tick(std::uint64_t now)
     last_tick_ = now;
 
     COOPRT_CHECK_ONLY(audit_issues_this_tick_ = 0;)
-    if (prof_ != nullptr) {
-        // Attribute the idle-skipped gap since the last tick from
-        // the frozen pre-tick state, then start collecting this
-        // tick's per-slot progress/steal events.
-        profAccount(now, false);
-        prof_progress_ = 0;
-        prof_stolen_ = 0;
-    }
+    // Attribute the idle-skipped gap since the last tick from the
+    // frozen pre-tick state, then collect this tick's per-slot
+    // progress/steal events.
+    if (cycles_mask_ != 0)
+        attributeCycles(now, false);
+    progress_ = 0;
+    stolen_ = 0;
     tryIssue(now);
     runLbu(now);
     processOneResponse(now);
-    if (prof_ != nullptr)
-        profAccount(now, true);
+    if (cycles_mask_ != 0)
+        attributeCycles(now, true);
 #if COOPRT_CHECK_ENABLED
     auditInvariants(now);
 #endif
 }
 
 void
-RtUnit::profAccount(std::uint64_t now, bool end_of_tick)
+RtUnit::attributeCycles(std::uint64_t now, bool end_of_tick)
 {
     // Earliest-ready outstanding response (and its serving level)
     // per slot, for response-starved attribution.
@@ -890,27 +829,22 @@ RtUnit::profAccount(std::uint64_t now, bool end_of_tick)
         }
     }
 
-    COOPRT_CHECK_ONLY(std::uint64_t audit_expected = 0;)
-    COOPRT_CHECK_ONLY(const std::uint64_t audit_before =
-                          prof_->residentBucketSum();)
-
     for (std::size_t slot = 0; slot < warps_.size(); ++slot) {
         WarpEntry &w = warps_[slot];
         if (!w.valid)
             continue;
         std::uint64_t weight;
         if (end_of_tick) {
-            if (w.prof_from > now)
+            if (w.cycles_from > now)
                 continue; // this cycle is already attributed
             weight = 1;
-            w.prof_from = now + 1;
+            w.cycles_from = now + 1;
         } else {
-            if (w.prof_from >= now)
+            if (w.cycles_from >= now)
                 continue; // no idle-skipped gap to attribute
-            weight = now - w.prof_from;
-            w.prof_from = now;
+            weight = now - w.cycles_from;
+            w.cycles_from = now;
         }
-        COOPRT_CHECK_ONLY(audit_expected += weight;)
 
         // Seeded bug (check builds): this warp's cycles silently
         // vanish from the attribution — the class of defect
@@ -922,8 +856,8 @@ RtUnit::profAccount(std::uint64_t now, bool end_of_tick)
         v.coop = cfg_.coop;
         v.outstanding = w.outstanding;
         if (end_of_tick) {
-            v.progressed = ((prof_progress_ >> slot) & 1) != 0;
-            v.stole = ((prof_stolen_ >> slot) & 1) != 0;
+            v.progressed = ((progress_ >> slot) & 1) != 0;
+            v.stole = ((stolen_ >> slot) & 1) != 0;
         }
         bool fresh_ready = false;
         for (int t = 0; t < kWarpSize; ++t) {
@@ -964,34 +898,23 @@ RtUnit::profAccount(std::uint64_t now, bool end_of_tick)
             v.wait_level = prof::MemLevel(level[slot]);
 
         const prof::Phase phase =
-            prof::phaseOf(w.prof_consumed, v.any_stack_work);
-        prof_->add(prof::classify(v), phase, weight);
-
-        // Exact thread-status cycle totals (the Fig. 4 axes).
+            prof::phaseOf(w.consumed, v.any_stack_work);
+        ThreadStatusCounts lanes; // the Fig. 4 axes
         for (int t = 0; t < kWarpSize; ++t) {
             const ThreadState &th = w.th[std::size_t(t)];
             if (threadBusy(th))
-                prof_->threads.busy += weight;
+                lanes.busy++;
             else if (th.active)
-                prof_->threads.waiting += weight;
+                lanes.waiting++;
             else
-                prof_->threads.inactive += weight;
+                lanes.inactive++;
         }
+        notify(cycles_mask_, [&](RtObserver &o) {
+            o.onWarpCycles(int(slot), v, phase, weight, lanes);
+        });
     }
     if (end_of_tick)
-        prof_accounted_ = now;
-
-    // Conservation: the pass must attribute exactly one bucket
-    // increment per resident warp per covered cycle.
-    COOPRT_AUDIT(check_label_, "prof.bucket_conservation", now,
-                 prof_->residentBucketSum() - audit_before ==
-                     audit_expected,
-                 "attributed " +
-                     std::to_string(prof_->residentBucketSum() -
-                                    audit_before) +
-                     " cycles but " +
-                     std::to_string(audit_expected) +
-                     " warp-resident cycles elapsed");
+        accounted_ = now;
 }
 
 std::uint64_t
@@ -1193,15 +1116,5 @@ RtUnit::auditInvariants(std::uint64_t now) const
     }
 }
 #endif // COOPRT_CHECK_ENABLED
-
-void
-RtUnit::armTimeline(stats::TimelineRecorder *recorder,
-                    int skip_submissions)
-{
-    timeline_ = recorder;
-    timeline_armed_ = true;
-    timeline_slot_ = -1;
-    timeline_skip_ = skip_submissions;
-}
 
 } // namespace cooprt::rtunit

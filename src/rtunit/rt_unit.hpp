@@ -20,13 +20,15 @@
  *   4. retires warps whose threads have all emptied their stacks.
  *
  * Timing comes from the `FetchFn` callback (the SM's port into the
- * L1/L2/DRAM hierarchy), which returns data-ready cycles.
+ * L1/L2/DRAM hierarchy), which returns data-ready cycles. Attached
+ * observers (rt_observer.hpp) see each of these steps as one event.
  */
 
 #ifndef COOPRT_RTUNIT_RT_UNIT_HPP
 #define COOPRT_RTUNIT_RT_UNIT_HPP
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -41,16 +43,10 @@
 #include "bvh/traversal.hpp"
 #include "geom/proxy.hpp"
 #include "geom/ray.hpp"
-#include "memscope/memscope.hpp"
-#include "prof/prof.hpp"
+#include "rtunit/rt_observer.hpp"
 #include "rtunit/trace_config.hpp"
-#include "stats/timeline.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/registry.hpp"
-
-namespace cooprt::raytrace {
-class UnitRecorder;
-} // namespace cooprt::raytrace
 
 namespace cooprt::rtunit {
 
@@ -125,20 +121,6 @@ struct RtUnitStats
 };
 
 /**
- * Per-interval thread-status sample for the paper's Fig. 4: threads
- * inside resident warps are inactive (no ray), busy (non-empty stack
- * or node in flight), or waiting (finished early / not yet started).
- */
-struct ThreadStatusCounts
-{
-    std::uint64_t inactive = 0;
-    std::uint64_t busy = 0;
-    std::uint64_t waiting = 0;
-
-    std::uint64_t total() const { return inactive + busy + waiting; }
-};
-
-/**
  * The RT unit. Owns warp-buffer entries and drives the cooperative
  * traversal. All scheduling state is deterministic.
  */
@@ -173,45 +155,23 @@ class RtUnit
     void attachTrace(cooprt::trace::Registry *registry,
                      cooprt::trace::Tracer *tracer, int sm_id);
 
-    /** Serving level of the most recent fetch (see MemorySystem). */
-    using ProfLevelFn = std::function<cooprt::prof::MemLevel()>;
+    /** Serving level of the fetch just issued (MemorySystem's
+     *  lastFetchDepth). */
+    using LevelFn = std::function<cooprt::prof::MemLevel()>;
 
     /**
-     * Attach the stall-attribution profiler: every warp-resident
-     * cycle is classified into @p profile per the `cooprt::prof`
-     * taxonomy (the sum over buckets equals the warp's trace latency
-     * exactly). @p level attributes response-starved cycles to the
-     * memory level that serves them; a null @p level attributes all
-     * of them to L1. Null @p profile (the default) disables the
-     * profiler entirely: no per-cycle work runs and simulated
-     * behaviour is bit-identical.
+     * Attach the observers that watch this unit (at most 32),
+     * replacing any attached before: every event of the Fig. 7
+     * pipeline goes to each observer that asks for it (RtObserver's
+     * wants and watchesWarp gates), in list order. @p level is read
+     * once per issued fetch that an observer needs (null reads L1).
+     * With no observer (the default) no event work runs; simulated
+     * behaviour is bit-identical either way (pinned-cycle proofs in
+     * tests/core).
      */
-    void attachProf(cooprt::prof::RtUnitProfile *profile,
-                    ProfLevelFn level);
-
-    /**
-     * Attach the ray-level provenance recorder (`cooprt::raytrace`):
-     * lifecycle events of the recorder's sampled rays — launch,
-     * pops/pushes, fetches with serving level from @p level, leaf
-     * tests, LBU steals, retirement — are logged cycle-stamped.
-     * Null @p recorder (the default) disables recording; hot paths
-     * then pay one pointer test and simulated behaviour is
-     * bit-identical (pinned-cycle proof in tests/raytrace).
-     */
-    void attachRayTrace(cooprt::raytrace::UnitRecorder *recorder,
-                        ProfLevelFn level);
-
-    /**
-     * Attach the BVH-topology profiler (`cooprt::memscope`): every
-     * coalesced node fetch is tagged into @p scope with the node's
-     * stable id, tree depth, serving level from @p level, consumer
-     * lane count and the warp's traversal phase. Null @p scope (the
-     * default) disables tagging; hot paths then pay one pointer test
-     * and simulated behaviour is bit-identical (pinned-cycle proof in
-     * tests/memscope).
-     */
-    void attachMemscope(cooprt::memscope::UnitScope *scope,
-                        ProfLevelFn level);
+    void attachObservers(std::vector<RtObserver *> observers,
+                         LevelFn level);
+    const std::vector<RtObserver *> &observers() const { return obs_; }
 
     /**
      * Component path used by `cooprt::check` violations (default
@@ -258,16 +218,6 @@ class RtUnit
     ThreadStatusCounts threadStatus() const;
 
     /**
-     * Attach a Fig.-11 style timeline recorder to warp-buffer slot
-     * activity: after skipping @p skip_submissions trace_rays, the
-     * next submitted warp is recorded until it retires. Skipping lets
-     * callers capture a late (divergent) trace instead of the
-     * coherent primary one, as the paper's Fig. 11 does.
-     */
-    void armTimeline(stats::TimelineRecorder *recorder,
-                     int skip_submissions = 0);
-
-    /**
      * Share another RT unit's intersection-predictor table (a
      * GPU-wide predictor, so spatial locality between warps on
      * different SMs is not fragmented). No-op when the predictor is
@@ -312,11 +262,13 @@ class RtUnit
         int outstanding = 0;    ///< in-flight responses
         std::uint64_t issue_cycle = 0;
         RetireFn on_retire;
-        bool record_timeline = false;
-        /** First cycle not yet stall-attributed (profiler only). */
-        std::uint64_t prof_from = 0;
-        /** Consumed any response yet (profiler phase tracking). */
-        bool prof_consumed = false;
+        /** First cycle not yet stall-attributed (onWarpCycles). */
+        std::uint64_t cycles_from = 0;
+        /** Consumed any response yet (traversal phase tracking). */
+        bool consumed = false;
+        /** Observers that watchesWarp (bits index the list): they
+         *  get the warp's per-lane events. */
+        std::uint32_t watchers = 0;
     };
 
     /** An element of the response FIFO. */
@@ -328,7 +280,7 @@ class RtUnit
         bvh::NodeRef ref;
         /** Ray owner per consumer thread (issue-time snapshot). */
         std::array<std::int8_t, kWarpSize> mains{};
-        /** Serving memory level (prof::MemLevel; profiler only). */
+        /** Serving memory level (prof::MemLevel; observers only). */
         std::int8_t level = 0;
 
         bool operator>(const Response &o) const { return ready > o.ready; }
@@ -367,9 +319,8 @@ class RtUnit
     void predictorSeed(WarpEntry &w, int tid);
     void predictorLearn(const WarpEntry &w);
     void maybeRetire(int slot, std::uint64_t now);
-    void recordBusyEdge(int slot, int tid, std::uint64_t now);
-    /** All-lane busy edges for ray-sampled warps (fig11 timelines). */
-    void recordRayEdges(int slot, const WarpEntry &w, std::uint64_t now);
+    /** All-lane busy mask to the observers (fig11 timelines). */
+    void emitLaneEdges(int slot, const WarpEntry &w, std::uint64_t now);
 
     const bvh::FlatBvh &bvh_;
     const scene::Mesh &mesh_;
@@ -389,11 +340,6 @@ class RtUnit
      */
     std::vector<Response> responses_;
 
-    stats::TimelineRecorder *timeline_ = nullptr;
-    int timeline_slot_ = -1;
-    bool timeline_armed_ = false;
-    int timeline_skip_ = 0;
-
     /**
      * Intersection-predictor table: prim id or UINT32_MAX. May be
      * shared across RT units (see sharePredictor()).
@@ -407,32 +353,38 @@ class RtUnit
     cooprt::trace::Histogram *latency_hist_ = nullptr;
     int trace_pid_ = 0;
 
-    /**
-     * Stall-attribution state (all dormant while prof_ is null; see
-     * attachProf). Accounting runs in two passes per tick: a gap
-     * pass at tick entry covers the idle-skipped cycles since the
-     * last tick from the frozen pre-tick state, and an end-of-tick
-     * pass classifies the current cycle with the per-slot progress /
-     * steal event masks recorded during the tick.
-     */
-    void profAccount(std::uint64_t now, bool end_of_tick);
+    std::vector<RtObserver *> obs_;
+    LevelFn level_;
+    /** Observers (bits index obs_) that want onWarpCycles, onLaneEdges
+     *  and every onFetch with its topology tags. */
+    std::uint32_t cycles_mask_ = 0;
+    std::uint32_t lane_edges_mask_ = 0;
+    std::uint32_t topology_mask_ = 0;
 
-    cooprt::prof::RtUnitProfile *prof_ = nullptr;
-    ProfLevelFn prof_level_;
-    /** Ray provenance recorder (dormant while null; see attachRayTrace). */
-    cooprt::raytrace::UnitRecorder *ray_ = nullptr;
-    /** Serving-level reader for sampled-ray fetch events. */
-    ProfLevelFn ray_level_;
-    /** BVH-topology profiler (dormant while null; see attachMemscope). */
-    cooprt::memscope::UnitScope *mscope_ = nullptr;
-    /** Serving-level reader for memscope fetch tagging. */
-    ProfLevelFn mscope_level_;
+    /** Call @p fn on each observer in @p mask, in list order. */
+    template <typename Fn>
+    void
+    notify(std::uint32_t mask, Fn &&fn) const
+    {
+        for (; mask != 0; mask &= mask - 1)
+            fn(*obs_[std::size_t(std::countr_zero(mask))]);
+    }
+
+    /**
+     * Stall attribution for onWarpCycles. It runs in two passes per
+     * tick: a gap pass at tick entry covers the idle-skipped cycles
+     * since the last tick from the frozen pre-tick state, and an
+     * end-of-tick pass classifies the current cycle with the per-slot
+     * progress / steal masks recorded during the tick.
+     */
+    void attributeCycles(std::uint64_t now, bool end_of_tick);
+
     /** Slots that issued a fetch or consumed a response this tick. */
-    std::uint64_t prof_progress_ = 0;
+    std::uint64_t progress_ = 0;
     /** Slots the LBU served this tick. */
-    std::uint64_t prof_stolen_ = 0;
+    std::uint64_t stolen_ = 0;
     /** Last cycle the end-of-tick pass accounted (kNever = none). */
-    std::uint64_t prof_accounted_ = kNever;
+    std::uint64_t accounted_ = kNever;
 
 #if COOPRT_CHECK_ENABLED
     /**

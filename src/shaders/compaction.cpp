@@ -123,7 +123,7 @@ runCompactedPathTrace(const scene::Scene &sc, const bvh::FlatBvh &flat,
         // Later bounces run on a warm machine: only the clock
         // restarts at the pass boundary.
         const gpu::GpuRunResult pass =
-            g.run(ptrs, nullptr, 0, bounce > 0);
+            g.run(ptrs, bounce > 0);
         out.cycles += pass.cycles;
         out.bounce_cycles.push_back(pass.cycles);
         out.bounce_warps.push_back(programs.size());

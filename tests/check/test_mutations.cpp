@@ -164,15 +164,15 @@ TEST_F(MutationTest, MetricsCycleRepeat)
 
 TEST_F(MutationTest, ProfMisattribution)
 {
-    // A warp cycle the profiler skips breaks the bucket sum ==
-    // resident-cycles identity the conservation audit re-derives
-    // after every accounting pass.
+    // A warp cycle the RT unit never attributes breaks the
+    // attributed-cycles == trace-latency identity the conservation
+    // audit re-derives when each warp retires.
     expectCaught(check::Mutation::ProfMisattribution,
                  "prof.bucket_conservation", [] {
                      prof::RtUnitProfile profile;
                      RtHarness h(testutil::makeSoup(8, 2000),
                                  TraceConfig{});
-                     h.unit.attachProf(&profile, nullptr);
+                     h.unit.attachObservers({&profile}, nullptr);
                      h.runOne(testutil::frontalJob(rtunit::kWarpSize));
                  });
 }
@@ -207,7 +207,7 @@ TEST_F(MutationTest, RayProvenanceDrop)
             TraceConfig coop;
             coop.coop = true;
             RtHarness h(testutil::makeSoup(8, 2000), coop);
-            h.unit.attachRayTrace(&rec, nullptr);
+            h.unit.attachObservers({&rec}, nullptr);
             h.runOne(testutil::frontalJob(1)); // steal-heavy warp
         });
 }

@@ -14,6 +14,7 @@
 
 #include "core/simulation.hpp"
 #include "memscope/memscope.hpp"
+#include "prof/prof.hpp"
 #include "raytrace/raytrace.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -134,7 +135,7 @@ std::uint64_t
 memscopeAccesses(const memscope::Collector &mscope)
 {
     std::uint64_t total = 0;
-    for (std::size_t i = 0; i < mscope.unitCount(); ++i)
+    for (int i = 0; i < mscope.unitCount(); ++i)
         total += mscope.unitAt(i).accesses;
     return total;
 }
@@ -251,6 +252,90 @@ TEST(PinnedCycles, ShipShadowBaselineWithTelemetry)
     EXPECT_EQ(out.gpu.rt.stale_pops, 5123u);
     EXPECT_EQ(out.gpu.rt.retired_warps, 50u);
     EXPECT_EQ(out.telemetry.cycles, 36233u);
+}
+
+// Every observer at once — profiler, memscope, ray recorder,
+// telemetry and a tracing + metrics session, all fed by one RT-unit
+// event stream — must leave the four seed pins exactly where they
+// are.
+
+core::RunOutcome
+runWithAllObservers(const std::string &scene, int resolution,
+                    core::ShaderKind shader, bool coop)
+{
+    // The session's registry must outlive the observers it serves.
+    trace::SessionOptions opt;
+    opt.events = true;
+    opt.metrics = true;
+    trace::Session session(opt);
+    prof::Profiler prof;
+    memscope::Collector mscope;
+    raytrace::Recorder ray;
+    telemetry::Recorder telem;
+    core::RunConfig cfg;
+    cfg.resolution = resolution;
+    cfg.shader = shader;
+    cfg.gpu.trace.coop = coop;
+    cfg.profiler = &prof;
+    cfg.memscope = &mscope;
+    cfg.ray_recorder = &ray;
+    cfg.telemetry = &telem;
+    cfg.trace_session = &session;
+    const core::RunOutcome out =
+        core::simulationFor(scene).run(cfg);
+    EXPECT_EQ(prof.residentCycles(), out.gpu.rt.retired_trace_latency);
+    EXPECT_EQ(memscopeAccesses(mscope),
+              out.gpu.rt.node_fetches + out.gpu.rt.leaf_fetches);
+    return out;
+}
+
+TEST(PinnedCycles, WkndPathTracingBaselineWithAllObservers)
+{
+    const auto out = runWithAllObservers(
+        "wknd", 32, core::ShaderKind::PathTracing, false);
+    EXPECT_EQ(out.gpu.cycles, 34868u);
+    EXPECT_EQ(out.gpu.rt.node_fetches, 4545u);
+    EXPECT_EQ(out.gpu.rt.leaf_fetches, 2430u);
+    EXPECT_EQ(out.gpu.rt.box_tests, 45996u);
+    EXPECT_EQ(out.gpu.rt.tri_tests, 11363u);
+    EXPECT_EQ(out.gpu.rt.steals, 0u);
+    EXPECT_EQ(out.gpu.rt.stale_pops, 844u);
+    EXPECT_EQ(out.gpu.rt.retired_warps, 155u);
+    EXPECT_EQ(out.gpu.rt.max_trace_latency, 11839u);
+    EXPECT_EQ(out.gpu.l1.accesses, 10863u);
+    EXPECT_EQ(out.gpu.dram.bytes, 158336u);
+    EXPECT_EQ(out.gpu.stalls.rt, 310412u);
+}
+
+TEST(PinnedCycles, WkndPathTracingCoopWithAllObservers)
+{
+    const auto out = runWithAllObservers(
+        "wknd", 32, core::ShaderKind::PathTracing, true);
+    EXPECT_EQ(out.gpu.cycles, 18756u);
+    EXPECT_EQ(out.gpu.rt.node_fetches, 6060u);
+    EXPECT_EQ(out.gpu.rt.leaf_fetches, 3028u);
+    EXPECT_EQ(out.gpu.rt.steals, 3750u);
+    EXPECT_EQ(out.gpu.rt.retired_warps, 155u);
+    EXPECT_EQ(out.gpu.rt.max_trace_latency, 6188u);
+    EXPECT_EQ(out.gpu.dram.bytes, 202624u);
+}
+
+TEST(PinnedCycles, BunnyAmbientOcclusionCoopWithAllObservers)
+{
+    const auto out = runWithAllObservers(
+        "bunny", 24, core::ShaderKind::AmbientOcclusion, true);
+    EXPECT_EQ(out.gpu.cycles, 17550u);
+    EXPECT_EQ(out.gpu.rt.steals, 5129u);
+    EXPECT_EQ(out.gpu.rt.retired_warps, 78u);
+}
+
+TEST(PinnedCycles, ShipShadowBaselineWithAllObservers)
+{
+    const auto out = runWithAllObservers(
+        "ship", 24, core::ShaderKind::Shadow, false);
+    EXPECT_EQ(out.gpu.cycles, 36233u);
+    EXPECT_EQ(out.gpu.rt.stale_pops, 5123u);
+    EXPECT_EQ(out.gpu.rt.retired_warps, 50u);
 }
 
 } // namespace

@@ -120,10 +120,18 @@ TEST(Simulation, FilmOutputFilled)
 TEST(Simulation, TimelineRecorded)
 {
     const Simulation &sim = core::simulationFor("bath");
-    stats::TimelineRecorder rec(rtunit::kWarpSize);
+    raytrace::RecorderConfig rcfg;
+    rcfg.sample_k = rtunit::kWarpSize;
+    rcfg.max_warps_per_unit = 1;
+    rcfg.lane_timeline = true;
+    raytrace::Recorder ray(rcfg);
     RunConfig c = smallCfg(16);
     c.gpu.trace.coop = true;
-    sim.run(c, nullptr, &rec);
+    c.ray_recorder = &ray;
+    sim.run(c);
+    const raytrace::WarpRecord *warp = ray.warps().front();
+    ASSERT_EQ(warp->sm, 0);
+    const stats::TimelineRecorder rec = raytrace::laneTimeline(*warp);
     std::uint64_t busy = 0;
     for (int t = 0; t < rtunit::kWarpSize; ++t)
         busy += rec.busyCycles(t);

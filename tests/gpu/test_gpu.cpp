@@ -45,13 +45,14 @@ struct Fixture
     GpuRunResult
     run(const gpu::GpuConfig &cfg,
         std::vector<ScriptedProgram> &programs,
-        stats::TimelineRecorder *timeline = nullptr)
+        raytrace::Recorder *ray = nullptr)
     {
         Gpu g(flat, mesh, cfg);
+        g.setRayTrace(ray);
         std::vector<gpu::WarpProgram *> ptrs;
         for (auto &p : programs)
             ptrs.push_back(&p);
-        return g.run(ptrs, timeline);
+        return g.run(ptrs);
     }
 
     std::vector<ScriptedProgram>
@@ -276,9 +277,15 @@ TEST(Gpu, TimelineRecorderThroughGpuRun)
 {
     Fixture f;
     auto programs = f.makePrograms(4, 1, 99);
-    stats::TimelineRecorder rec(kWarpSize);
-    GpuRunResult r = f.run(tinyGpu(true), programs, &rec);
-    (void)r;
+    raytrace::RecorderConfig rcfg;
+    rcfg.sample_k = kWarpSize;
+    rcfg.max_warps_per_unit = 1;
+    rcfg.lane_timeline = true;
+    raytrace::Recorder ray(rcfg);
+    f.run(tinyGpu(true), programs, &ray);
+    const raytrace::WarpRecord *warp = ray.warps().front();
+    ASSERT_EQ(warp->sm, 0);
+    const stats::TimelineRecorder rec = raytrace::laneTimeline(*warp);
     std::uint64_t busy = 0;
     for (int t = 0; t < kWarpSize; ++t)
         busy += rec.busyCycles(t);

@@ -44,7 +44,7 @@ TEST(WarmMemory, SecondPassIsFasterOnSameWorkingSet)
 
     ScriptedProgram p2({job});
     std::vector<gpu::WarpProgram *> v2{&p2};
-    const auto warm = g.run(v2, nullptr, 0, /*warm_memory=*/true);
+    const auto warm = g.run(v2, /*warm_memory=*/true);
 
     EXPECT_LT(warm.cycles, cold.cycles);
     EXPECT_LT(warm.dram.requests, cold.dram.requests);
@@ -83,7 +83,7 @@ TEST(WarmMemory, StatsRestartEachPass)
 
     ScriptedProgram p2({divergentJob(rng)});
     std::vector<gpu::WarpProgram *> v2{&p2};
-    const auto second = g.run(v2, nullptr, 0, true);
+    const auto second = g.run(v2, true);
     // Second pass reports only its own accesses, not cumulative.
     EXPECT_LT(second.l1.accesses, 2 * first.l1.accesses);
     EXPECT_GT(second.l1.accesses, 0u);

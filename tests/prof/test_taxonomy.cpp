@@ -153,7 +153,7 @@ TEST(Taxonomy, ProfileAddKeepsConservation)
     prof::RtUnitProfile p;
     p.add(Bucket::IssueCompute, Phase::Ramp, 3);
     p.add(Bucket::StarvedL2, Phase::Traverse, 7);
-    p.addWarpBufferFull(11); // SM-side: outside the resident sum
+    p.onBufferWait(11); // SM-side: outside the resident sum
     EXPECT_EQ(p.resident_cycles, 10u);
     EXPECT_EQ(p.residentBucketSum(), 10u);
     EXPECT_EQ(p.buckets[std::size_t(Bucket::WarpBufferFull)], 11u);

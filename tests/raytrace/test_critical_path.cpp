@@ -40,7 +40,7 @@ TEST(CriticalPath, BucketSumEqualsWarpLatency)
         TraceConfig tcfg;
         tcfg.coop = coop;
         RtHarness h(testutil::makeSoup(8, 2000), tcfg);
-        h.unit.attachRayTrace(&rec, nullptr);
+        h.unit.attachObservers({&rec}, nullptr);
         h.runOne(testutil::frontalJob(rtunit::kWarpSize));
 
         ASSERT_EQ(rec.warps().size(), 1u);

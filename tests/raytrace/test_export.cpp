@@ -42,7 +42,7 @@ struct RecordedWarp
         TraceConfig coop;
         coop.coop = true;
         RtHarness h(testutil::makeSoup(8, 2000), coop);
-        h.unit.attachRayTrace(&ray.unit(0), nullptr);
+        h.unit.attachObservers({&ray.unit(0)}, nullptr);
         h.runOne(testutil::frontalJob(rtunit::kWarpSize));
     }
 };
@@ -130,7 +130,7 @@ TEST(RayStatsExport, EventCapDropsAndCounts)
     TraceConfig coop;
     coop.coop = true;
     RtHarness h(testutil::makeSoup(8, 2000), coop);
-    h.unit.attachRayTrace(&ray.unit(0), nullptr);
+    h.unit.attachObservers({&ray.unit(0)}, nullptr);
     h.runOne(testutil::frontalJob(rtunit::kWarpSize));
 
     EXPECT_GT(ray.stats().events_dropped, 0u);

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the ray-provenance recorder: deterministic seed-
- * derived sampling, per-ray lifecycle conservation, steal accounting
- * and the lane-timeline replay that rebuilds Fig. 11.
+ * derived sampling, per-ray lifecycle conservation and steal
+ * accounting (the Fig. 11 lane-timeline replay is pinned by the
+ * golden in test_golden.cpp).
  */
 
 #include <gtest/gtest.h>
@@ -35,7 +36,7 @@ struct RecordedRun
         : cfg(rcfg), rec(0, &cfg)
     {
         RtHarness h(testutil::makeSoup(soup_seed, soup_n), tcfg);
-        h.unit.attachRayTrace(&rec, nullptr);
+        h.unit.attachObservers({&rec}, nullptr);
         result = h.runOne(testutil::frontalJob(rays));
     }
 };
@@ -163,7 +164,7 @@ TEST(UnitRecorder, WarpSkipAndPerUnitCap)
     rcfg.max_warps_per_unit = 1;
     UnitRecorder rec(0, &rcfg);
     RtHarness h(testutil::makeSoup(8, 500), TraceConfig{});
-    h.unit.attachRayTrace(&rec, nullptr);
+    h.unit.attachObservers({&rec}, nullptr);
     for (int i = 0; i < 3; ++i)
         h.runOne(testutil::frontalJob(rtunit::kWarpSize));
 
@@ -179,7 +180,7 @@ TEST(UnitRecorder, SetWarpIdSurvivesInstantRetire)
     rcfg.sample_k = 2;
     UnitRecorder rec(0, &rcfg);
     RtHarness h(testutil::makeSoup(8, 500), TraceConfig{});
-    h.unit.attachRayTrace(&rec, nullptr);
+    h.unit.attachObservers({&rec}, nullptr);
 
     bool done = false;
     const int slot = h.unit.submit(
@@ -188,40 +189,9 @@ TEST(UnitRecorder, SetWarpIdSurvivesInstantRetire)
     h.drain([&] { return done; });
     // The SM names the record after submit() returns — by then the
     // warp may already have retired, but the record must keep it.
-    rec.setWarpId(slot, 77);
+    rec.onWarpId(slot, 77);
     ASSERT_EQ(rec.warps().size(), 1u);
     EXPECT_EQ(rec.warps()[0].warp_id, 77);
-}
-
-TEST(UnitRecorder, LaneTimelineReplaysArmTimelineExactly)
-{
-    const int kRays = rtunit::kWarpSize;
-    TraceConfig coop;
-    coop.coop = true;
-
-    // Legacy path: the RT unit drives a TimelineRecorder directly.
-    stats::TimelineRecorder legacy(rtunit::kWarpSize);
-    {
-        RtHarness h(testutil::makeSoup(8, 2000), coop);
-        h.unit.armTimeline(&legacy, 0);
-        h.runOne(testutil::frontalJob(kRays));
-    }
-
-    // Recorder path: the same run logs lane edges; laneTimeline()
-    // replays them (this is what fig11_warp_timeline renders).
-    RecorderConfig rcfg;
-    rcfg.sample_k = raytrace::kLanes;
-    rcfg.lane_timeline = true;
-    RecordedRun run(rcfg, coop, kRays);
-    ASSERT_EQ(run.rec.warps().size(), 1u);
-    stats::TimelineRecorder replay =
-        raytrace::laneTimeline(run.rec.warps()[0]);
-
-    EXPECT_EQ(replay.firstCycle(), legacy.firstCycle());
-    EXPECT_EQ(replay.lastCycle(), legacy.lastCycle());
-    EXPECT_DOUBLE_EQ(replay.averageUtilization(),
-                     legacy.averageUtilization());
-    EXPECT_EQ(replay.render(100), legacy.render(100));
 }
 
 TEST(UnitRecorder, ResetClearsEverything)
@@ -231,7 +201,7 @@ TEST(UnitRecorder, ResetClearsEverything)
     UnitRecorder rec(0, &rcfg);
     {
         RtHarness h(testutil::makeSoup(8, 500), TraceConfig{});
-        h.unit.attachRayTrace(&rec, nullptr);
+        h.unit.attachObservers({&rec}, nullptr);
         h.runOne(testutil::frontalJob(rtunit::kWarpSize));
     }
     EXPECT_GT(rec.stats().events_recorded, 0u);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "raytrace/raytrace.hpp"
 #include "rtunit_test_util.hpp"
 
 namespace {
@@ -285,9 +286,15 @@ TEST(RtUnit, TimelineRecordsBusyBars)
     cfg.coop = true;
     RtHarness h(mesh, cfg);
 
-    stats::TimelineRecorder rec(kWarpSize);
-    h.unit.armTimeline(&rec);
+    raytrace::RecorderConfig rcfg;
+    rcfg.sample_k = kWarpSize;
+    rcfg.lane_timeline = true;
+    raytrace::UnitRecorder ray(0, &rcfg);
+    h.unit.attachObservers({&ray}, nullptr);
     h.runOne(frontalJob(2, 9));
+    ASSERT_EQ(ray.warps().size(), 1u);
+    const stats::TimelineRecorder rec =
+        raytrace::laneTimeline(ray.warps()[0]);
 
     // The two active threads and at least one helper were busy.
     EXPECT_GT(rec.busyCycles(0) + rec.busyCycles(1), 0u);

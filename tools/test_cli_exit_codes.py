@@ -60,6 +60,15 @@ def main(argv: list[str]) -> int:
     expect([simulate, "--heartbeat-s"], 2, "--heartbeat-s")
     expect([simulate, "--heartbeat-s", "0"], 2, "--heartbeat-s")
     expect([simulate, "--heartbeat-s", "-1"], 2, "--heartbeat-s")
+    # Numeric flags parse the whole token and range-check it.
+    expect([simulate, "--trace", os.devnull, "--trace-capacity", "abc"],
+           2, "--trace-capacity")
+    expect([simulate, "--resolution", "abc"], 2, "--resolution")
+    expect([simulate, "--resolution", "-4"], 2, "--resolution")
+    expect([simulate, "--resolution", "32px"], 2, "--resolution")
+    expect([simulate, "--subwarp", "64"], 2, "--subwarp")
+    expect([simulate, "--query-radius", "nan"], 2, "--query-radius")
+    expect([simulate, "--heartbeat-s", "1e999"], 2, "--heartbeat-s")
 
     # campaign_cli: flag errors exit 2; --list-configs is a success.
     expect([campaign, "--no-such-flag"], 2)
@@ -69,6 +78,10 @@ def main(argv: list[str]) -> int:
     expect([campaign, "--telemetry-log"], 2, "--telemetry-log")
     expect([campaign, "--heartbeat-s", "0"], 2, "--heartbeat-s")
     expect([campaign, "--heartbeat-s", "-0.5"], 2, "--heartbeat-s")
+    expect([campaign, "--resolution", "abc"], 2, "--resolution")
+    expect([campaign, "--jobs", "two"], 2, "--jobs")
+    expect([campaign, "--retries", "-1"], 2, "--retries")
+    expect([campaign, "--timeout-s", "5s"], 2, "--timeout-s")
     expect([campaign, "--list-configs"], 0)
 
     # `--json-out -` contract: stdout is *pure* JSON lines (human
