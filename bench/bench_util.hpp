@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "../examples/cli_args.hpp"
 #include "core/simulation.hpp"
 #include "exec/exec.hpp"
 #include "stats/table.hpp"
@@ -99,7 +100,7 @@ parse(int argc, char **argv)
                 std::exit(2);
             }
         } else if (arg == "--jobs") {
-            opt.jobs = std::atoi(next("--jobs"));
+            opt.jobs = cli::intArg("--jobs", next("--jobs"), 0, 1024);
         } else if (arg == "--json-out") {
             opt.json_out = next("--json-out");
         } else {

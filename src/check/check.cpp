@@ -88,6 +88,7 @@ mutationName(Mutation m)
       case Mutation::RayProvenanceDrop: return "RayProvenanceDrop";
       case Mutation::MemscopeMisattribution:
           return "MemscopeMisattribution";
+      case Mutation::StaleLaneMask: return "StaleLaneMask";
     }
     return "Unknown";
 }
@@ -102,6 +103,7 @@ allMutations()
         Mutation::CacheHitMiscount,      Mutation::L2BankTimeTravel,
         Mutation::MetricsCycleRepeat,    Mutation::ProfMisattribution,
         Mutation::RayProvenanceDrop,    Mutation::MemscopeMisattribution,
+        Mutation::StaleLaneMask,
     };
     return all;
 }

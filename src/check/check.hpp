@@ -154,6 +154,8 @@ enum class Mutation
     RayProvenanceDrop,
     /** Memscope drops one line's serving-level attribution. */
     MemscopeMisattribution,
+    /** LBU steal leaves the main lane's work/deep bits stale. */
+    StaleLaneMask,
 };
 
 /** Stable name of @p m ("DoubleConsumeResponse", ...). */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <stdexcept>
 
 #include "geom/rng.hpp"
@@ -168,12 +167,10 @@ RtUnit::predictorSeed(WarpEntry &w, int tid)
 void
 RtUnit::predictorLearn(const WarpEntry &w)
 {
-    for (int t = 0; t < kWarpSize; ++t) {
-        const ThreadState &th = w.th[std::size_t(t)];
-        if (!th.active || !w.hit[std::size_t(t)].hit())
-            continue;
-        (*predictor_)[predictorIndex(th.ray)] =
-            w.hit[std::size_t(t)].prim_id;
+    for (std::uint32_t m = w.active; m != 0; m &= m - 1) {
+        const std::size_t t = std::size_t(std::countr_zero(m));
+        if (w.hit[t].hit())
+            (*predictor_)[predictorIndex(w.th[t].ray)] = w.hit[t].prim_id;
     }
 }
 
@@ -229,14 +226,13 @@ RtUnit::submit(const TraceJob &job, std::uint64_t now, RetireFn on_retire)
         w.min_thit[std::size_t(t)] = kNoHit;
         if (!job.rays[std::size_t(t)])
             continue;
-        th.active = true;
+        w.active |= 1u << t;
         th.ray = *job.rays[std::size_t(t)];
         // Algorithm 1 lines 1-2: test the root AABB, push on hit.
         const float t_root = bvh_.rootBounds().intersect(
             th.ray, th.ray.tmax);
         if (t_root != kNoHit && bvh_.primCount() > 0)
-            th.stack.push_back(
-                {bvh_.root(), t_root, std::int8_t(t)});
+            pushWork(w, t, {bvh_.root(), t_root, std::int8_t(t)});
         // Query rays have no meaningful triangle intersection: the
         // predictor would seed from (and later learn) degenerate
         // proxy hits, polluting the shared table.
@@ -250,16 +246,8 @@ RtUnit::submit(const TraceJob &job, std::uint64_t now, RetireFn on_retire)
     if (!obs_.empty()) {
         // Before maybeRetire, so a warp whose rays all missed the
         // scene box still reports its (instant) lifecycle.
-        std::uint32_t active_mask = 0, root_mask = 0;
-        for (int t = 0; t < kWarpSize; ++t) {
-            const ThreadState &th = w.th[std::size_t(t)];
-            if (th.active)
-                active_mask |= 1u << t;
-            if (!th.stack.empty())
-                root_mask |= 1u << t;
-        }
         for (RtObserver *o : obs_)
-            o->onSubmit(slot, active_mask, root_mask, now);
+            o->onSubmit(slot, w.active, w.work, now);
         for (std::size_t i = 0; i < obs_.size(); ++i)
             if (obs_[i]->watchesWarp(slot))
                 w.watchers |= 1u << i;
@@ -292,17 +280,37 @@ RtUnit::searchLimit(const WarpEntry &w, int main) const
     return mt < owner.ray.tmax ? mt : owner.ray.tmax;
 }
 
-RtUnit::StackEntry
-RtUnit::popWork(ThreadState &t) const
+/** Pop the back (DFS TOS) or the front (BFS head, stack bottom). */
+template <typename Stack>
+static typename Stack::value_type
+take(Stack &stack, bool back)
 {
-    StackEntry e;
-    if (cfg_.order == TraversalOrder::Dfs) {
-        e = t.stack.back();
-        t.stack.pop_back();
+    typename Stack::value_type e;
+    if (back) {
+        e = stack.back();
+        stack.pop_back();
     } else {
-        e = t.stack.front();
-        t.stack.pop_front();
+        e = stack.front();
+        stack.pop_front();
     }
+    return e;
+}
+
+void
+RtUnit::syncLane(WarpEntry &w, int tid)
+{
+    const std::uint32_t bit = 1u << tid;
+    const std::size_t n = w.th[std::size_t(tid)].stack.size();
+    w.work = n > 0 ? w.work | bit : w.work & ~bit;
+    w.deep = n > 1 ? w.deep | bit : w.deep & ~bit;
+}
+
+RtUnit::StackEntry
+RtUnit::popWork(WarpEntry &w, int tid) const
+{
+    const StackEntry e = take(w.th[std::size_t(tid)].stack,
+                              cfg_.order == TraversalOrder::Dfs);
+    syncLane(w, tid);
     return e;
 }
 
@@ -314,44 +322,50 @@ RtUnit::peekWork(const ThreadState &t) const
 }
 
 RtUnit::StackEntry
-RtUnit::popSteal(ThreadState &t) const
+RtUnit::popSteal(WarpEntry &w, int tid) const
 {
-    StackEntry e;
-    if (cfg_.order == TraversalOrder::Bfs || !cfg_.steal_from_bottom) {
-        // Paper: helper pops the main's TOS (or queue front for BFS).
-        return const_cast<RtUnit *>(this)->popWork(t);
-    }
-    // Ablation: steal the oldest (bottom) entry — largest subtree.
-    e = t.stack.front();
-    t.stack.pop_front();
+    // Paper: the helper pops the main's TOS (or queue front for BFS);
+    // the ablation steals the oldest (bottom) entry, the largest
+    // subtree.
+    std::deque<StackEntry> &stack = w.th[std::size_t(tid)].stack;
+    const StackEntry e =
+        take(stack, cfg_.order == TraversalOrder::Dfs &&
+                        !cfg_.steal_from_bottom);
+    // Seeded bug: the steal that empties or un-deepens the main's
+    // stack leaves its lane bits stale.
+    if (stack.size() < 2 && COOPRT_MUTATE(StaleLaneMask))
+        return e;
+    syncLane(w, tid);
     return e;
 }
 
 void
-RtUnit::pushWork(ThreadState &t, const StackEntry &e)
+RtUnit::pushWork(WarpEntry &w, int tid, const StackEntry &e)
 {
-    t.stack.push_back(e);
-    if (int(t.stack.size()) > cfg_.stack_capacity)
+    std::deque<StackEntry> &stack = w.th[std::size_t(tid)].stack;
+    stack.push_back(e);
+    if (int(stack.size()) > cfg_.stack_capacity)
         stats_.stack_overflows++;
 #if COOPRT_CHECK_ENABLED
     // Seeded bug: a runaway push loop floods the stack, the class of
     // defect rtunit.stack_depth_bound exists to catch.
     if (COOPRT_MUTATE(StackOverPush))
         for (std::size_t i = 0; i <= check_stack_bound_; ++i)
-            t.stack.push_back(e);
+            stack.push_back(e);
 #endif
+    syncLane(w, tid);
 }
 
 void
 RtUnit::dropStaleWork(int slot, WarpEntry &w, int tid,
                       std::uint64_t now)
 {
-    ThreadState &t = w.th[std::size_t(tid)];
+    const ThreadState &t = w.th[std::size_t(tid)];
     while (!t.stack.empty()) {
         const StackEntry &top = peekWork(t);
         if (top.entry_t < searchLimit(w, top.main))
             break;
-        const StackEntry dropped = popWork(t);
+        const StackEntry dropped = popWork(w, tid);
         stats_.stale_pops++;
         notify(w.watchers, [&](RtObserver &o) {
             o.onStaleDrop(slot, tid, dropped.main, dropped.ref.raw(),
@@ -402,18 +416,12 @@ RtUnit::tryIssue(std::uint64_t now)
         if (!w.valid)
             continue;
 
-        // Single pass: pop-time elimination (paper Section 6.1) for
-        // threads with work, and find the first ready thread.
-        int first_ready = -1;
-        for (int t = 0; t < kWarpSize; ++t) {
-            ThreadState &th = w.th[std::size_t(t)];
-            if (th.stack.empty())
-                continue;
-            dropStaleWork(slot, w, t, now);
-            if (first_ready < 0 && !th.pending && !th.stack.empty())
-                first_ready = t;
-        }
-        if (first_ready < 0) {
+        // Pop-time elimination (paper Section 6.1) on every lane with
+        // work; the lowest ready lane then selects the address.
+        for (std::uint32_t m = w.work; m != 0; m &= m - 1)
+            dropStaleWork(slot, w, std::countr_zero(m), now);
+        const std::uint32_t ready = w.ready();
+        if (ready == 0) {
             // Dropping stale entries may have finished this warp.
             maybeRetire(slot, now);
             continue;
@@ -422,22 +430,17 @@ RtUnit::tryIssue(std::uint64_t now)
         // Coalesce: all ready threads whose next node matches the
         // selected unique address pop together and share the fetch.
         const NodeRef ref =
-            peekWork(w.th[std::size_t(first_ready)]).ref;
+            peekWork(w.th[std::size_t(std::countr_zero(ready))]).ref;
         std::uint32_t consumers = 0;
         std::array<std::int8_t, kWarpSize> mains{};
-        for (int t = first_ready; t < kWarpSize; ++t) {
-            ThreadState &th = w.th[std::size_t(t)];
-            if (th.pending || th.stack.empty())
+        for (std::uint32_t m = ready; m != 0; m &= m - 1) {
+            const int t = std::countr_zero(m);
+            if (!(peekWork(w.th[std::size_t(t)]).ref == ref))
                 continue;
-            if (!(peekWork(th).ref == ref))
-                continue;
-            const StackEntry e = popWork(th);
-            th.pending = true;
-            th.pending_ref = ref;
-            th.pending_main = e.main;
-            mains[std::size_t(t)] = e.main;
-            consumers |= (1u << t);
+            mains[std::size_t(t)] = popWork(w, t).main;
+            consumers |= 1u << t;
         }
+        w.pending |= consumers;
 
         const std::uint64_t data_ready =
             fetch_(bvh_.addressOf(ref), bvh_.fetchBytes(ref), now);
@@ -459,10 +462,7 @@ RtUnit::tryIssue(std::uint64_t now)
                 f.node_id = bvh_.nodeIdOf(ref);
                 f.depth = bvh_.depthOf(ref);
                 f.bytes = bvh_.fetchBytes(ref);
-                bool any_work = false;
-                for (int t = 0; t < kWarpSize && !any_work; ++t)
-                    any_work = !w.th[std::size_t(t)].stack.empty();
-                f.phase = prof::phaseOf(w.consumed, any_work);
+                f.phase = prof::phaseOf(w.consumed, w.work != 0);
             }
             notify(fetch_obs,
                    [&](RtObserver &o) { o.onFetch(f, now); });
@@ -508,80 +508,61 @@ RtUnit::runLbu(std::uint64_t now)
             continue;
 
         bool any_move = false;
-        const int groups = kWarpSize / cfg_.subwarp_size;
-        for (int g = 0; g < groups; ++g) {
-            const int lo = g * cfg_.subwarp_size;
-            const int hi = lo + cfg_.subwarp_size;
+        for (int g = 0; g < kWarpSize / cfg_.subwarp_size; ++g) {
+            const std::uint32_t sub = subwarp(g);
             for (int move = 0; move < cfg_.lbu_moves_per_cycle;
                  ++move) {
-                // Priority encoders (Fig. 8): lowest-index helper
-                // (empty stack; in the default Vulkan-sim-like model
-                // an in-flight final fetch does not disqualify it)
-                // and lowest-index main with a stealable node beyond
-                // its own next pop.
-                int helper = -1, main = -1;
-                for (int t = lo; t < hi; ++t) {
-                    const ThreadState &th = w.th[std::size_t(t)];
-                    if (helper < 0 && th.stack.empty() &&
-                        (!cfg_.helper_requires_idle || !th.pending))
-                        helper = t;
-                    if (main < 0 &&
-                        (th.stack.size() >= 2 ||
-                         (th.pending && !th.stack.empty())))
-                        main = t;
-                }
-                if (helper < 0 || main < 0 || helper == main)
+                // Priority encoders (Fig. 8): the lowest-index helper
+                // and the lowest-index main of the subwarp.
+                const std::uint32_t hs = helpers(w) & sub;
+                const std::uint32_t ms = mains(w) & sub;
+                if (hs == 0 || ms == 0)
                     break;
+                int helper = std::countr_zero(hs);
+                const int main = std::countr_zero(ms);
 
 #if COOPRT_CHECK_ENABLED
                 // Seeded bug: retarget a busy thread as the helper —
                 // the steal then destroys that thread's own work.
-                if (COOPRT_MUTATE_ARMED(IllegalLbuHelper)) {
-                    for (int t = lo; t < hi; ++t) {
-                        if (t == main ||
-                            w.th[std::size_t(t)].stack.empty())
-                            continue;
-                        if (COOPRT_MUTATE(IllegalLbuHelper))
-                            helper = t;
-                        break;
-                    }
-                }
+                const std::uint32_t busy_other =
+                    w.work & sub & ~(1u << main);
+                if (busy_other != 0 && COOPRT_MUTATE(IllegalLbuHelper))
+                    helper = std::countr_zero(busy_other);
                 {
                     const ThreadState &hth = w.th[std::size_t(helper)];
                     const ThreadState &mth = w.th[std::size_t(main)];
+                    const bool hp = (w.pending >> helper) & 1u;
+                    const bool mp = (w.pending >> main) & 1u;
                     COOPRT_AUDIT(
                         check_label_, "rtunit.lbu_steal_legality", now,
                         helper != main &&
                             helper / cfg_.subwarp_size ==
                                 main / cfg_.subwarp_size &&
                             hth.stack.empty() &&
-                            (!cfg_.helper_requires_idle ||
-                             !hth.pending) &&
+                            (!cfg_.helper_requires_idle || !hp) &&
                             (mth.stack.size() >= 2 ||
-                             (mth.pending && !mth.stack.empty())),
+                             (mp && !mth.stack.empty())),
                         "helper=" + std::to_string(helper) +
                             " (stack=" +
                             std::to_string(hth.stack.size()) +
-                            " pending=" +
-                            std::to_string(hth.pending) + ") main=" +
-                            std::to_string(main) + " (stack=" +
+                            " pending=" + std::to_string(hp) +
+                            ") main=" + std::to_string(main) +
+                            " (stack=" +
                             std::to_string(mth.stack.size()) +
-                            " pending=" +
-                            std::to_string(mth.pending) + ")");
+                            " pending=" + std::to_string(mp) + ")");
                 }
 #endif
 
-                ThreadState &ms = w.th[std::size_t(main)];
-                ThreadState &hs = w.th[std::size_t(helper)];
-                const StackEntry stolen = popSteal(ms);
-                pushWork(hs, stolen);
+                const StackEntry stolen = popSteal(w, main);
+                pushWork(w, helper, stolen);
+                ThreadState &hth = w.th[std::size_t(helper)];
                 notify(w.watchers, [&](RtObserver &o) {
                     o.onSteal(slot, main, helper, stolen.main,
-                              hs.main_tid != stolen.main, now);
+                              hth.main_tid != stolen.main, now);
                 });
                 // The stolen entry carries its ray owner; the helper
                 // records it as its current target (status/debug).
-                hs.main_tid = stolen.main;
+                hth.main_tid = stolen.main;
                 stats_.steals++;
                 stolen_ |= 1ull << std::uint64_t(slot);
                 any_move = true;
@@ -599,7 +580,6 @@ void
 RtUnit::processNode(int slot, WarpEntry &w, int tid, NodeRef ref,
                     int main, std::uint64_t now)
 {
-    ThreadState &t = w.th[std::size_t(tid)];
     const Ray &ray = w.th[std::size_t(main)].ray;
 
     if (ref.isLeaf()) {
@@ -651,7 +631,7 @@ RtUnit::processNode(int slot, WarpEntry &w, int tid, NodeRef ref,
         const float limit = searchLimit(w, main);
         const float thit = c.box.intersect(ray, limit);
         if (thit != kNoHit) {
-            pushWork(t, {c.ref, thit, std::int8_t(main)});
+            pushWork(w, tid, {c.ref, thit, std::int8_t(main)});
             notify(w.watchers, [&](RtObserver &o) {
                 o.onPush(slot, tid, main, c.ref.raw(), now);
             });
@@ -677,7 +657,6 @@ RtUnit::processOneResponse(std::uint64_t now)
     const Response r = popResponse();
 
     WarpEntry &w = warps_[std::size_t(r.slot)];
-    assert(w.valid);
 #if COOPRT_CHECK_ENABLED
     // Seeded bug: the response is accounted for but its data never
     // delivered — the consuming threads stay pending forever.
@@ -688,13 +667,10 @@ RtUnit::processOneResponse(std::uint64_t now)
         return true;
     }
 #endif
-    for (int t = 0; t < kWarpSize; ++t) {
-        if (!(r.consumers & (1u << t)))
-            continue;
-        ThreadState &th = w.th[std::size_t(t)];
-        assert(th.pending_main == r.mains[std::size_t(t)]);
-        if (th.pending && th.pending_ref == r.ref)
-            th.pending = false;
+    // A thread has at most one fetch in flight: this one.
+    w.pending &= ~r.consumers;
+    for (std::uint32_t m = r.consumers; m != 0; m &= m - 1) {
+        const int t = std::countr_zero(m);
         notify(w.watchers, [&](RtObserver &o) {
             o.onConsume(r.slot, t, r.mains[std::size_t(t)], r.ref.raw(),
                         prof::MemLevel(r.level), now);
@@ -718,11 +694,8 @@ void
 RtUnit::maybeRetire(int slot, std::uint64_t now)
 {
     WarpEntry &w = warps_[std::size_t(slot)];
-    if (!w.valid || w.outstanding > 0)
+    if (!w.valid || w.outstanding > 0 || w.busy() != 0)
         return;
-    for (int t = 0; t < kWarpSize; ++t)
-        if (threadBusy(w.th[std::size_t(t)]))
-            return;
 
     TraceResult result;
     result.hits = w.hit;
@@ -737,9 +710,9 @@ RtUnit::maybeRetire(int slot, std::uint64_t now)
         // Store-queue writes of the hit records (Section 5.1); the
         // closest-hit shader reads them back. Buffered: they consume
         // bandwidth but do not delay the retire.
-        for (int t = 0; t < kWarpSize; ++t) {
-            if (!w.th[std::size_t(t)].active ||
-                !w.hit[std::size_t(t)].hit())
+        for (std::uint32_t m = w.active; m != 0; m &= m - 1) {
+            const int t = std::countr_zero(m);
+            if (!w.hit[std::size_t(t)].hit())
                 continue;
             const std::uint64_t addr =
                 kHitBufferBase +
@@ -779,11 +752,8 @@ RtUnit::emitLaneEdges(int slot, const WarpEntry &w, std::uint64_t now)
         return;
     // The whole busy mask at every state-changing site; a timeline
     // registers transitions only (fig11).
-    std::uint32_t busy = 0;
-    for (int t = 0; t < kWarpSize; ++t)
-        if (threadBusy(w.th[std::size_t(t)]))
-            busy |= 1u << t;
-    notify(mask, [&](RtObserver &o) { o.onLaneEdges(slot, busy, now); });
+    notify(mask,
+           [&](RtObserver &o) { o.onLaneEdges(slot, w.busy(), now); });
 }
 
 void
@@ -793,7 +763,6 @@ RtUnit::tick(std::uint64_t now)
                  now >= last_tick_,
                  "tick at " + std::to_string(now) + " after " +
                      std::to_string(last_tick_));
-    assert(now >= last_tick_);
     last_tick_ = now;
 
     COOPRT_CHECK_ONLY(audit_issues_this_tick_ = 0;)
@@ -859,56 +828,33 @@ RtUnit::attributeCycles(std::uint64_t now, bool end_of_tick)
             v.progressed = ((progress_ >> slot) & 1) != 0;
             v.stole = ((stolen_ >> slot) & 1) != 0;
         }
+        const std::uint32_t ready = w.ready();
+        v.any_stack_work = w.work != 0;
+        v.has_ready = ready != 0;
+        v.has_idle_lane = ~w.busy() != 0;
         bool fresh_ready = false;
-        for (int t = 0; t < kWarpSize; ++t) {
-            const ThreadState &th = w.th[std::size_t(t)];
-            if (!th.stack.empty()) {
-                v.any_stack_work = true;
-                if (!th.pending) {
-                    v.has_ready = true;
-                    const StackEntry &top = peekWork(th);
-                    if (top.entry_t < searchLimit(w, top.main))
-                        fresh_ready = true;
-                }
-            } else if (!th.pending) {
-                v.has_idle_lane = true;
-            }
+        for (std::uint32_t m = ready; m != 0 && !fresh_ready; m &= m - 1) {
+            const StackEntry &top =
+                peekWork(w.th[std::size_t(std::countr_zero(m))]);
+            fresh_ready = top.entry_t < searchLimit(w, top.main);
         }
         v.ready_all_stale = v.has_ready && !fresh_ready;
         if (cfg_.coop && !v.has_ready) {
-            // LBU-only progress: a legal helper/main pair in some
-            // subwarp (exactly the runLbu selection criteria).
-            const int groups = kWarpSize / cfg_.subwarp_size;
-            for (int g = 0; g < groups && !v.lbu_eligible; ++g) {
-                bool helper = false, main = false;
-                for (int t = g * cfg_.subwarp_size;
-                     t < (g + 1) * cfg_.subwarp_size; ++t) {
-                    const ThreadState &th = w.th[std::size_t(t)];
-                    if (th.stack.empty() &&
-                        (!cfg_.helper_requires_idle || !th.pending))
-                        helper = true;
-                    if (th.stack.size() >= 2 ||
-                        (th.pending && !th.stack.empty()))
-                        main = true;
-                }
-                v.lbu_eligible = helper && main;
-            }
+            // LBU-only progress: a helper/main pair in some subwarp
+            // (exactly the runLbu selection criteria).
+            const std::uint32_t hs = helpers(w), ms = mains(w);
+            for (int g = 0;
+                 g < kWarpSize / cfg_.subwarp_size && !v.lbu_eligible;
+                 ++g)
+                v.lbu_eligible = (hs & subwarp(g)) != 0 &&
+                                 (ms & subwarp(g)) != 0;
         }
         if (w.outstanding > 0 && best[slot] != kNever)
             v.wait_level = prof::MemLevel(level[slot]);
 
         const prof::Phase phase =
             prof::phaseOf(w.consumed, v.any_stack_work);
-        ThreadStatusCounts lanes; // the Fig. 4 axes
-        for (int t = 0; t < kWarpSize; ++t) {
-            const ThreadState &th = w.th[std::size_t(t)];
-            if (threadBusy(th))
-                lanes.busy++;
-            else if (th.active)
-                lanes.waiting++;
-            else
-                lanes.inactive++;
-        }
+        const ThreadStatusCounts lanes = laneStatus(w); // Fig. 4 axes
         notify(cycles_mask_, [&](RtObserver &o) {
             o.onWarpCycles(int(slot), v, phase, weight, lanes);
         });
@@ -926,21 +872,11 @@ RtUnit::nextEventCycle(std::uint64_t now) const
     for (const WarpEntry &w : warps_) {
         if (!w.valid)
             continue;
-        bool has_helper = false, has_main = false;
-        for (int t = 0; t < kWarpSize; ++t) {
-            const ThreadState &th = w.th[std::size_t(t)];
-            if (!th.pending && !th.stack.empty())
-                return now; // issueable (or stale-droppable) work
-            if (cfg_.coop) {
-                if (th.stack.empty() &&
-                    (!cfg_.helper_requires_idle || !th.pending))
-                    has_helper = true;
-                if (th.stack.size() >= 2 ||
-                    (th.pending && !th.stack.empty()))
-                    has_main = true;
-            }
-        }
-        if (cfg_.coop && has_helper && has_main)
+        if (w.ready() != 0)
+            return now; // issueable (or stale-droppable) work
+        // A helper and a main anywhere in the warp, not per subwarp:
+        // a tick also runs the pop-time drops.
+        if (cfg_.coop && helpers(w) != 0 && mains(w) != 0)
             return now; // LBU can move a node
     }
 
@@ -955,21 +891,26 @@ RtUnit::nextEventCycle(std::uint64_t now) const
 }
 
 ThreadStatusCounts
+RtUnit::laneStatus(const WarpEntry &w)
+{
+    ThreadStatusCounts c;
+    c.busy = std::uint64_t(std::popcount(w.busy()));
+    c.waiting = std::uint64_t(std::popcount(w.active & ~w.busy()));
+    c.inactive = std::uint64_t(std::popcount(~(w.active | w.busy())));
+    return c;
+}
+
+ThreadStatusCounts
 RtUnit::threadStatus() const
 {
     ThreadStatusCounts c;
     for (const WarpEntry &w : warps_) {
         if (!w.valid)
             continue;
-        for (int t = 0; t < kWarpSize; ++t) {
-            const ThreadState &th = w.th[std::size_t(t)];
-            if (threadBusy(th))
-                c.busy++;
-            else if (th.active)
-                c.waiting++;
-            else
-                c.inactive++;
-        }
+        const ThreadStatusCounts l = laneStatus(w);
+        c.busy += l.busy;
+        c.waiting += l.waiting;
+        c.inactive += l.inactive;
     }
     return c;
 }
@@ -1045,19 +986,32 @@ RtUnit::auditInvariants(std::uint64_t now) const
                          std::to_string(fifo[i]) +
                          " responses in flight");
 
-        std::uint32_t pending_mask = 0;
-        for (int t = 0; t < kWarpSize; ++t)
-            if (w.th[std::size_t(t)].pending)
-                pending_mask |= (1u << t);
         COOPRT_AUDIT(check_label_, "rtunit.pending_matches_responses",
-                     now, pending_mask == consumers[i],
+                     now, w.pending == consumers[i],
                      "slot " + std::to_string(i) + " pending mask " +
-                         std::to_string(pending_mask) +
+                         std::to_string(w.pending) +
                          " != consumer union " +
                          std::to_string(consumers[i]));
 
+        // The stack bits against the stacks themselves.
+        std::uint32_t work = 0;
+        std::uint32_t deep = 0;
+        for (int t = 0; t < kWarpSize; ++t) {
+            const std::size_t depth = w.th[std::size_t(t)].stack.size();
+            work |= std::uint32_t(depth > 0) << t;
+            deep |= std::uint32_t(depth > 1) << t;
+        }
+        COOPRT_AUDIT(check_label_, "rtunit.lane_masks_consistent", now,
+                     w.work == work && w.deep == deep,
+                     "slot " + std::to_string(i) + " work/deep masks " +
+                         std::to_string(w.work) + "/" +
+                         std::to_string(w.deep) + " but stacks give " +
+                         std::to_string(work) + "/" +
+                         std::to_string(deep));
+
         for (int t = 0; t < kWarpSize; ++t) {
             const ThreadState &th = w.th[std::size_t(t)];
+            const bool active = ((w.active >> t) & 1u) != 0;
 
             COOPRT_AUDIT(check_label_, "rtunit.stack_depth_bound",
                          now, th.stack.size() <= check_stack_bound_,
@@ -1074,7 +1028,7 @@ RtUnit::auditInvariants(std::uint64_t now) const
                 // LBU is off).
                 const bool scope_ok =
                     m >= 0 && m < kWarpSize &&
-                    w.th[std::size_t(m)].active &&
+                    ((w.active >> m) & 1u) != 0 &&
                     (cfg_.coop ? m / cfg_.subwarp_size ==
                                      t / cfg_.subwarp_size
                                : m == t);
@@ -1103,9 +1057,9 @@ RtUnit::auditInvariants(std::uint64_t now) const
             const float mt = w.min_thit[std::size_t(t)];
             const geom::HitRecord &rec = w.hit[std::size_t(t)];
             const bool hit_ok =
-                th.active ? (rec.hit() == (mt != geom::kNoHit) &&
-                             (!rec.hit() || mt <= rec.thit))
-                          : (!rec.hit() && mt == geom::kNoHit);
+                active ? (rec.hit() == (mt != geom::kNoHit) &&
+                          (!rec.hit() || mt <= rec.thit))
+                       : (!rec.hit() && mt == geom::kNoHit);
             COOPRT_AUDIT(check_label_, "rtunit.hit_state_consistent",
                          now, hit_ok,
                          "slot " + std::to_string(i) + " thread " +

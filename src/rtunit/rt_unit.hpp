@@ -4,8 +4,8 @@
  *
  * One RT unit per SM. It holds a warp buffer whose entries each carry
  * one in-flight trace_ray instruction: per-thread ray properties,
- * traversal stack, status, `main_tid` and the per-thread `min_thit`
- * registers. Every cycle the RT unit:
+ * traversal stack, `main_tid` and `min_thit` registers, and the
+ * per-lane status bits as 32-bit masks. Every cycle the RT unit:
  *
  *   1. selects a warp (round-robin) and issues ONE coalesced unique
  *      node address from the TOSes of its ready threads to the memory
@@ -242,15 +242,16 @@ class RtUnit
     struct ThreadState
     {
         geom::Ray ray;          ///< this thread's own ray
-        bool active = false;    ///< thread had a ray at submit
         int main_tid = 0;       ///< current ray target (status/debug)
         std::deque<StackEntry> stack;
-        bool pending = false;   ///< node fetch in flight
-        bvh::NodeRef pending_ref;
-        std::int8_t pending_main = 0;
     };
 
-    /** One warp-buffer entry. */
+    /**
+     * One warp-buffer entry. Lane state lives in four 32-bit masks
+     * (bit t = thread t), the status bits behind the LBU's priority
+     * encoders (Fig. 8); only the stack helpers write `work` and
+     * `deep`, only issue and consume write `pending`.
+     */
     struct WarpEntry
     {
         bool valid = false;
@@ -259,6 +260,10 @@ class RtUnit
         std::array<ThreadState, kWarpSize> th;
         std::array<float, kWarpSize> min_thit;
         std::array<geom::HitRecord, kWarpSize> hit;
+        std::uint32_t active = 0;  ///< had a ray at submit
+        std::uint32_t pending = 0; ///< node fetch in flight
+        std::uint32_t work = 0;    ///< stack non-empty
+        std::uint32_t deep = 0;    ///< stack holds >= 2 entries
         int outstanding = 0;    ///< in-flight responses
         std::uint64_t issue_cycle = 0;
         RetireFn on_retire;
@@ -269,6 +274,11 @@ class RtUnit
         /** Observers that watchesWarp (bits index the list): they
          *  get the warp's per-lane events. */
         std::uint32_t watchers = 0;
+
+        /** Lanes that can issue their TOS this cycle. */
+        std::uint32_t ready() const { return work & ~pending; }
+        /** Lanes with work left (stack or fetch in flight). */
+        std::uint32_t busy() const { return work | pending; }
     };
 
     /** An element of the response FIFO. */
@@ -291,15 +301,39 @@ class RtUnit
     /** Min-heap pop of responses_.front(). */
     Response popResponse();
 
-    bool threadBusy(const ThreadState &t) const
-    { return t.pending || !t.stack.empty(); }
+    /**
+     * LBU helper candidates: an empty stack, and under
+     * helper_requires_idle no fetch in flight either.
+     */
+    std::uint32_t
+    helpers(const WarpEntry &w) const
+    {
+        return ~w.work & (cfg_.helper_requires_idle ? ~w.pending : ~0u);
+    }
+    /** LBU main candidates: a stealable node beyond the next pop. */
+    static std::uint32_t
+    mains(const WarpEntry &w)
+    {
+        return w.deep | (w.work & w.pending);
+    }
+    /** Lanes of subwarp @p g. */
+    std::uint32_t
+    subwarp(int g) const
+    {
+        return std::uint32_t((~0ull >> (64 - cfg_.subwarp_size))
+                             << (g * cfg_.subwarp_size));
+    }
 
     /** Pop-side of the node-tracking discipline (DFS back/BFS front). */
-    StackEntry popWork(ThreadState &t) const;
+    StackEntry popWork(WarpEntry &w, int tid) const;
     const StackEntry &peekWork(const ThreadState &t) const;
     /** Steal-side pop (honours steal_from_bottom). */
-    StackEntry popSteal(ThreadState &t) const;
-    void pushWork(ThreadState &t, const StackEntry &e);
+    StackEntry popSteal(WarpEntry &w, int tid) const;
+    void pushWork(WarpEntry &w, int tid, const StackEntry &e);
+    /** Re-derive lane @p tid's work/deep bits from its stack size. */
+    static void syncLane(WarpEntry &w, int tid);
+    /** The Fig. 4 busy / waiting / inactive split of @p w's lanes. */
+    static ThreadStatusCounts laneStatus(const WarpEntry &w);
 
     /** Drop stale TOS entries (entry_t >= current search limit). */
     void dropStaleWork(int slot, WarpEntry &w, int tid,

@@ -115,6 +115,17 @@ TEST_F(MutationTest, IllegalLbuHelper)
                  [&] { runBusyWarp(coop, 1); });
 }
 
+TEST_F(MutationTest, StaleLaneMask)
+{
+    TraceConfig coop;
+    coop.coop = true;
+    // One busy thread feeding 31 helpers: its stack soon shrinks
+    // below two entries through a steal.
+    expectCaught(check::Mutation::StaleLaneMask,
+                 "rtunit.lane_masks_consistent",
+                 [&] { runBusyWarp(coop, 1); });
+}
+
 TEST_F(MutationTest, LostWarp)
 {
     expectCaught(check::Mutation::LostWarp, "sm.warp_conservation",
@@ -217,7 +228,7 @@ TEST_F(MutationTest, CatalogueFullyExercised)
 {
     // One TEST_F above per entry; this guards against a new Mutation
     // being added without a matching detection test.
-    EXPECT_EQ(check::allMutations().size(), 12u)
+    EXPECT_EQ(check::allMutations().size(), 13u)
         << "new mutation added: write its detection test and update "
            "this count";
 }

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
 #include "core/simulation.hpp"
 #include "memscope/memscope.hpp"
 #include "prof/prof.hpp"
@@ -337,5 +340,97 @@ TEST(PinnedCycles, ShipShadowBaselineWithAllObservers)
     EXPECT_EQ(out.gpu.rt.stale_pops, 5123u);
     EXPECT_EQ(out.gpu.rt.retired_warps, 50u);
 }
+
+// Every TraceConfig knob of the RT unit, one row each, on a small
+// divergent fox frame: four SMs keep several warps resident so the
+// scheduler and warp-buffer rows differ, and the 24 px frame is deep
+// enough to overflow the 16-entry stack. Values: cycles, node
+// fetches, leaf fetches, steals, stale pops, stack overflows.
+
+struct Variant
+{
+    const char *name;
+    core::ShaderKind shader;
+    void (*apply)(rtunit::TraceConfig &);
+    std::array<std::uint64_t, 6> pinned;
+};
+
+using Cfg = rtunit::TraceConfig;
+constexpr auto kPt = core::ShaderKind::PathTracing;
+
+const Variant kVariants[] = {
+    {"CoopSubwarp4", kPt, [](Cfg &t) { t.coop = true; t.subwarp_size = 4; },
+     {1006419, 100862, 90069, 18573, 4747, 1801}},
+    {"CoopSubwarp8", kPt, [](Cfg &t) { t.coop = true; t.subwarp_size = 8; },
+     {731159, 101904, 90411, 28354, 5574, 1531}},
+    {"CoopSubwarp16", kPt,
+     [](Cfg &t) { t.coop = true; t.subwarp_size = 16; },
+     {674195, 103456, 90866, 36431, 6420, 1593}},
+    {"CoopHelperMayBePending", kPt,
+     [](Cfg &t) { t.coop = true; t.helper_requires_idle = false; },
+     {1094945, 102158, 91151, 3376617, 5017, 1895}},
+    {"CoopLbuMoves2", kPt,
+     [](Cfg &t) { t.coop = true; t.lbu_moves_per_cycle = 2; },
+     {662824, 105118, 91648, 42114, 7080, 1517}},
+    {"CoopStealFromBottom", kPt,
+     [](Cfg &t) { t.coop = true; t.steal_from_bottom = true; },
+     {644430, 106625, 92139, 41854, 7922, 1471}},
+    {"BaseBfs", kPt, [](Cfg &t) { t.order = rtunit::TraversalOrder::Bfs; },
+     {2912661, 143584, 99430, 0, 59913, 272571}},
+    {"CoopBfs", kPt,
+     [](Cfg &t) { t.coop = true; t.order = rtunit::TraversalOrder::Bfs; },
+     {752881, 136996, 102250, 60778, 48050, 191534}},
+    {"CoopGreedyThenOldest", kPt,
+     [](Cfg &t) {
+         t.coop = true;
+         t.sched = rtunit::WarpSchedPolicy::GreedyThenOldest;
+     },
+     {663929, 106008, 92277, 42990, 7154, 1507}},
+    {"CoopOldestFirst", kPt,
+     [](Cfg &t) {
+         t.coop = true;
+         t.sched = rtunit::WarpSchedPolicy::OldestFirst;
+     },
+     {654572, 105924, 92257, 42691, 6801, 1486}},
+    {"CoopWarpBuffer8", kPt,
+     [](Cfg &t) { t.coop = true; t.warp_buffer_entries = 8; },
+     {656571, 105876, 91894, 43293, 6972, 1497}},
+    {"CoopChildPrefetch", kPt,
+     [](Cfg &t) { t.coop = true; t.child_prefetch = true; },
+     {655108, 105428, 92091, 41857, 7009, 1501}},
+    {"CoopPredictorAo", core::ShaderKind::AmbientOcclusion,
+     [](Cfg &t) { t.coop = true; t.intersection_predictor = true; },
+     {369267, 88787, 75746, 26349, 10170, 1632}},
+    {"CoopAnyHitShadow", core::ShaderKind::Shadow,
+     [](Cfg &t) { t.coop = true; },
+     {276779, 81668, 61871, 22584, 15170, 1865}},
+};
+
+class FoxVariant : public ::testing::TestWithParam<Variant>
+{
+};
+
+TEST_P(FoxVariant, Pinned)
+{
+    const Variant &v = GetParam();
+    core::RunConfig cfg;
+    cfg.gpu = gpu::GpuConfig::rtx2060HighOccupancy();
+    cfg.resolution = 24;
+    cfg.shader = v.shader;
+    v.apply(cfg.gpu.trace);
+    const auto out = core::simulationFor("fox").run(cfg);
+    const std::array<std::uint64_t, 6> got = {
+        out.gpu.cycles,          out.gpu.rt.node_fetches,
+        out.gpu.rt.leaf_fetches, out.gpu.rt.steals,
+        out.gpu.rt.stale_pops,   out.gpu.rt.stack_overflows};
+    EXPECT_EQ(got, v.pinned);
+    EXPECT_GT(out.gpu.rt.stack_overflows, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PinnedCycles, FoxVariant, ::testing::ValuesIn(kVariants),
+    [](const ::testing::TestParamInfo<Variant> &info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace

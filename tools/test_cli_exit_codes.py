@@ -109,6 +109,8 @@ def main(argv: list[str]) -> int:
     expect([bench, "--no-such-flag"], 2, "unknown flag")
     expect([bench, "--scenes"], 2, "needs a value")
     expect([bench, "--scenes", "not-a-scene"], 2, "unknown scene")
+    expect([bench, "--scenes", "wknd", "--jobs", "-3"], 2, "--jobs")
+    expect([bench, "--scenes", "wknd", "--jobs", "abc"], 2, "--jobs")
 
     # --version is a success path everywhere it exists.
     for binary in (simulate, campaign, diff_cli):
