@@ -29,7 +29,7 @@
  *
  * Export views:
  *   - a `memscope` object in the run report and `Collector::writeJson`
- *     (schema checked by tools/validate_memscope.py);
+ *     (schema checked by tools/validate_sinks.py);
  *   - folded stacks `scene;depth<d>;node<id> N` (writeFolded) for
  *     flamegraph.pl / speedscope — the tree-shaped twin of the prof
  *     stall flamegraph;
@@ -317,11 +317,11 @@ class Collector
      * `memscope.l1.* / memscope.l2.*`. Idempotent; probes are
      * dropped in the destructor (the registry must outlive this
      * object). This file is the single registration authority for
-     * `memscope.*` (tools/lint_stats_registry.py enforces it).
+     * `memscope.*` (tools/cooprt_lint enforces it).
      */
     void registerMetrics(cooprt::trace::Registry &registry);
 
-    /** Hierarchical JSON (schema: tools/validate_memscope.py). */
+    /** Hierarchical JSON (schema: tools/validate_sinks.py). */
     void writeJson(std::ostream &os, const std::string &scene) const;
 
     /**

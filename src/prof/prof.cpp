@@ -9,7 +9,7 @@ namespace cooprt::prof {
 
 namespace {
 
-/** Indexed by Bucket; lint_stats_registry.py cross-checks this table
+/** Indexed by Bucket; cooprt_lint (registry-authority) checks this table
     against the enum and the DESIGN.md taxonomy, so the three cannot
     drift. */
 constexpr std::array<const char *, kNumBuckets> kBucketNames = {

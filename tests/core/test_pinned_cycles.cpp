@@ -355,6 +355,12 @@ struct Variant
     std::array<std::uint64_t, 6> pinned;
 };
 
+// gtest's default printer dumps the raw bytes (pointers included) into
+// the "# GetParam() = ..." comment that gtest_discover_tests keeps in
+// the ctest name; printing the variant name keeps that name stable
+// from build to build.
+void PrintTo(const Variant &v, std::ostream *os) { *os << v.name; }
+
 using Cfg = rtunit::TraceConfig;
 constexpr auto kPt = core::ShaderKind::PathTracing;
 

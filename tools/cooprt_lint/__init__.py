@@ -20,8 +20,11 @@ hazard patterns *statically*, before they reach a run:
                                         mutated but never audited
   ``check-purity``                      COOPRT_CHECK-only code writing
                                         non-check state
-  ``registry-authority``                metric names registered twice or
+  ``registry-authority``                metric names registered twice,
+                                        outside their authority file or
                                         missing from the DESIGN.md tables
+  ``stats-registered``                  stats-struct counters never
+                                        registered with the registry
   ====================================  =================================
 
 Two interchangeable frontends produce the same fact stream:

@@ -6,6 +6,7 @@ from rules.float_accumulation_order import FloatAccumulationOrder
 from rules.audit_coverage import AuditCoverage
 from rules.check_purity import CheckPurity
 from rules.registry_authority import RegistryAuthority
+from rules.stats_registered import StatsRegistered
 
 ALL_RULES = [
     NondeterministicIteration(),
@@ -14,6 +15,7 @@ ALL_RULES = [
     AuditCoverage(),
     CheckPurity(),
     RegistryAuthority(),
+    StatsRegistered(),
 ]
 
 RULE_IDS = [r.id for r in ALL_RULES]

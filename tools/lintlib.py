@@ -1,15 +1,15 @@
 """Shared scaffolding for the repository's Python lint/validation
-tools (``lint_stats_registry``, ``validate_raystats``,
-``validate_memscope`` and ``cooprt_lint``).
+tools (``validate_sinks``, ``cooprt_lint`` and their self-tests).
 
-Every tool follows the same contract, enforced here once instead of
-four times:
+Every tool follows the same contract, enforced here once:
 
   - usage errors print to stderr and exit 2;
   - a failed check prints ``<tool>: FAIL`` (plus the problems) and
     exits 1;
   - success prints one ``<tool>: OK (...)`` summary line and exits 0;
-  - JSON inputs are loaded with uniform error reporting;
+  - every input file (JSON, NDJSON/JSONL, CSV, folded stacks, text)
+    is read through ``Tool.load``: an unreadable or malformed file
+    is ``<tool>: FAIL: <path>: ...`` and exit 1, never a traceback;
   - counter fields are validated as non-negative integers the same
     way everywhere.
 
@@ -17,7 +17,7 @@ Usage::
 
     import lintlib
     tool = lintlib.Tool("validate_foo")
-    doc = tool.load_json(path)
+    doc = tool.load(path, "json")
     n = tool.expect_counter(doc, "requests", "top level")
     ...
     return tool.report(problems, ok=f"{n} requests validated")
@@ -25,6 +25,7 @@ Usage::
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
 from pathlib import Path
@@ -54,13 +55,46 @@ class Tool:
         print(text, file=sys.stderr)
         return EXIT_USAGE
 
-    def load_json(self, path: str | Path):
-        """Load a JSON document, failing with a uniform message."""
+    def load(self, path: str | Path, fmt: str):
+        """Read @p path as ``fmt``, failing with a uniform message.
+
+        ``json``    one document;
+        ``jsonl``   a list of documents, one per line (NDJSON, JSONL
+                    event logs, campaign ``--json-out`` lines); a
+                    blank or non-JSON line fails;
+        ``csv``     a list of rows;
+        ``folded``  a list of ``(frames, count)`` pairs, one per
+                    ``frame;frame;... count`` line;
+        ``text``    the file contents.
+        """
         try:
-            with open(path, encoding="utf-8") as f:
-                return json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
+            with open(path, encoding="utf-8", newline="") as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError) as e:
             self.fail(f"{path}: {e}")
+        if fmt == "text":
+            return text
+        if fmt == "csv":
+            return list(csv.reader(text.splitlines()))
+        if fmt == "json":
+            try:
+                return json.loads(text)
+            except json.JSONDecodeError as e:
+                self.fail(f"{path}: {e}")
+        out = []
+        for i, line in enumerate(text.splitlines(), 1):
+            if fmt == "folded":
+                stack, _, count = line.rpartition(" ")
+                if not stack or not count.isdigit():
+                    self.fail(f"{path}:{i}: not a 'frames count' "
+                              f"folded line: {line!r}")
+                out.append((stack.split(";"), int(count)))
+                continue
+            try:
+                out.append(json.loads(line))
+            except json.JSONDecodeError as e:
+                self.fail(f"{path}:{i}: not a JSON line: {e}")
+        return out
 
     def expect_counter(self, obj: dict, key: str, where: str) -> int:
         """``obj[key]`` as a non-negative integer, or fail."""
@@ -74,28 +108,29 @@ class Tool:
         return v
 
     def expect_stamp(self, doc: dict, where: str = "top level",
-                     run_key: bool = True) -> None:
+                     keys: tuple[str, ...] = ("run_key",)) -> None:
         """Assert the schema-v2 stamp every JSON sink carries: a
-        ``schema_version`` field and (for per-run sinks) a complete
-        ``run_key`` identity block (DESIGN.md §18)."""
+        ``schema_version`` field and, for each name in @p keys, a
+        complete run-identity block (DESIGN.md §18)."""
         v = doc.get("schema_version")
-        if not isinstance(v, int) or v < 2:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 2:
             self.fail(f"{where}: schema_version = {v!r} (want an "
                       f"integer >= 2; re-capture with a current "
                       f"build)")
-        if not run_key:
-            return
-        key = doc.get("run_key")
-        if not isinstance(key, dict):
-            self.fail(f"{where}: missing 'run_key' identity block")
-        for f in ("scene", "shader", "resolution", "fingerprint"):
-            if f not in key:
-                self.fail(f"{where}: run_key is missing {f!r}")
-        fp = key["fingerprint"]
-        if (not isinstance(fp, str) or not fp.startswith("0x")
-                or len(fp) != 18):
-            self.fail(f"{where}: run_key.fingerprint {fp!r} is not "
-                      f"a 0x-prefixed 64-bit hex string")
+        for name in keys:
+            key = doc.get(name)
+            if not isinstance(key, dict):
+                self.fail(f"{where}: missing {name!r} identity block")
+            for f in ("scene", "shader", "resolution", "fingerprint"):
+                if f not in key:
+                    self.fail(f"{where}: {name} is missing {f!r}")
+            if not isinstance(key["scene"], str) or not key["scene"]:
+                self.fail(f"{where}: {name} has an empty scene")
+            fp = key["fingerprint"]
+            if (not isinstance(fp, str) or not fp.startswith("0x")
+                    or len(fp) != 18):
+                self.fail(f"{where}: {name}.fingerprint {fp!r} is "
+                          f"not a 0x-prefixed 64-bit hex string")
 
     def report(self, problems: list[str], ok: str) -> int:
         """Print the verdict and return the exit code.

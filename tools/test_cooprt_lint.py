@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Self-test for tools/cooprt_lint.
 
-Four layers:
+Five layers:
 
   1. fixture goldens  — every fixtures/<rule>/ mini-repo must lint
      to exactly its expected.keys (stable finding keys);
@@ -9,7 +9,9 @@ Four layers:
      --keys/--list-rules modes are 0;
   3. HEAD is clean    — the real repo lints clean against the
      checked-in baseline (which is empty: every real finding was
-     fixed or carries an inline allow() with a reason);
+     fixed or carries an inline allow() with a reason), and every
+     file the project-table rules name exists, so none of their rows
+     is skipped as absent;
   4. lint mutation    — seed a fresh violation into a copy of a
      fixture and prove the baseline gate catches it, that baselined
      findings stay quiet, that baseline keys are line-independent,
@@ -71,7 +73,7 @@ def test_fixture_goldens() -> int:
         check(r.stdout == want,
               f"{d.name}: key mismatch\n--- got ---\n{r.stdout}"
               f"--- want ---\n{want}")
-    check(n >= 7, f"only {n} fixture goldens found, expected >= 7")
+    check(n >= 9, f"only {n} fixture goldens found, expected >= 9")
     return n
 
 
@@ -95,6 +97,15 @@ def test_head_clean() -> None:
     r = run_lint([])
     check(r.returncode == 0,
           f"HEAD must lint clean against the baseline:\n{r.stdout}")
+    sys.path.insert(0, str(LINT))
+    from rules import registry_authority, stats_registered
+    tables = [f for row in stats_registered.STATS for f in row[1:3]]
+    tables += [*registry_authority._REQUIRED,
+               registry_authority._BUCKET_ENUM,
+               registry_authority._BUCKET_TABLE]
+    for rel in tables:
+        check((lintlib.REPO / rel).is_file(),
+              f"{rel}: named by a lint table but missing at HEAD")
 
 
 def test_lint_mutation() -> None:
