@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bvh/flat_bvh.hpp"
 #include "bvh/traversal.hpp"
 #include "geom/rng.hpp"
 #include "mem/memory_system.hpp"
@@ -89,20 +90,64 @@ BM_CpuClosestHit(benchmark::State &state)
 }
 BENCHMARK(BM_CpuClosestHit);
 
+/** The paper's L1 (Arg 0: 64 KB fully associative) or L2 (Arg 1:
+ *  3 MB 16-way), on lines drawn from 4x its capacity. */
 void
 BM_CacheAccess(benchmark::State &state)
 {
-    mem::Cache cache({64 * 1024, 0, 128, 20});
+    const mem::CacheConfig cfg =
+        state.range(0) == 0 ? mem::MemConfig{}.l1 : mem::MemConfig{}.l2;
+    mem::Cache cache(cfg);
+    const auto lines = std::uint32_t(4 * cfg.size_bytes / cfg.line_bytes);
     geom::Pcg32 rng(4);
     std::uint64_t now = 0;
     auto below = [](std::uint64_t, std::uint64_t t) { return t + 300; };
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            cache.access(rng.nextBelow(2048), now, below));
+            cache.access(rng.nextBelow(lines), now, below));
         now += 3;
     }
 }
-BENCHMARK(BM_CacheAccess);
+BENCHMARK(BM_CacheAccess)->Arg(0)->Arg(1);
+
+/**
+ * MemorySystem::fetch on the bench-scale GPU's hierarchy (10 SMs,
+ * 1 MB L2) over one seeded stream of BVH-node-sized fetches whose
+ * depth is uniform, so shallow nodes are shared by every SM and
+ * deep ones are mostly cold, as in a traversal.
+ */
+void
+BM_MemFetch(benchmark::State &state)
+{
+    mem::MemConfig mc;
+    mc.num_sms = 10;
+    mc.l2.size_bytes = 1024 * 1024;
+    mc.l2_banks = 4;
+    mem::MemorySystem memsys(mc);
+    struct Fetch
+    {
+        int sm;
+        std::uint64_t addr;
+    };
+    std::vector<Fetch> stream(1 << 16);
+    geom::Pcg32 rng(6);
+    for (Fetch &f : stream) {
+        const std::uint32_t depth = 4 + rng.nextBelow(17);
+        f.sm = int(rng.nextBelow(std::uint32_t(mc.num_sms)));
+        f.addr = std::uint64_t(rng.nextBelow(1u << depth)) *
+                 bvh::kNodeBytes;
+    }
+    std::uint64_t now = 0;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const Fetch &f = stream[i];
+        benchmark::DoNotOptimize(
+            memsys.fetch(f.sm, f.addr, bvh::kNodeBytes, now));
+        i = (i + 1) & (stream.size() - 1);
+        now += (i & 1); // ~2 fetches per cycle across the GPU
+    }
+}
+BENCHMARK(BM_MemFetch);
 
 void
 BM_RtUnitFullTrace(benchmark::State &state)

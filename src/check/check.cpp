@@ -89,6 +89,7 @@ mutationName(Mutation m)
       case Mutation::MemscopeMisattribution:
           return "MemscopeMisattribution";
       case Mutation::StaleLaneMask: return "StaleLaneMask";
+      case Mutation::StaleLineIndex: return "StaleLineIndex";
     }
     return "Unknown";
 }
@@ -103,7 +104,7 @@ allMutations()
         Mutation::CacheHitMiscount,      Mutation::L2BankTimeTravel,
         Mutation::MetricsCycleRepeat,    Mutation::ProfMisattribution,
         Mutation::RayProvenanceDrop,    Mutation::MemscopeMisattribution,
-        Mutation::StaleLaneMask,
+        Mutation::StaleLaneMask,         Mutation::StaleLineIndex,
     };
     return all;
 }

@@ -156,6 +156,8 @@ enum class Mutation
     MemscopeMisattribution,
     /** LBU steal leaves the main lane's work/deep bits stale. */
     StaleLaneMask,
+    /** Cache eviction leaves the victim's line in the tag index. */
+    StaleLineIndex,
 };
 
 /** Stable name of @p m ("DoubleConsumeResponse", ...). */

@@ -1,6 +1,8 @@
 #include "mem/cache.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
 
 namespace cooprt::mem {
 
@@ -22,19 +24,17 @@ Cache::registerMetrics(cooprt::trace::Registry &registry,
     registry.probe(prefix + ".miss_rate",
                    [s] { return s->missRate(); }, owner);
     registry.probe(prefix + ".mshr_live",
-                   [this] { return double(outstanding_.size()); },
-                   owner);
+                   [this] { return double(mshr_count_); }, owner);
 }
 
 std::vector<Cache::MshrEntry>
 Cache::outstandingLines() const
 {
     std::vector<MshrEntry> out;
-    out.reserve(outstanding_.size());
-    // cooprt-lint: allow(nondeterministic-iteration) snapshot is
-    // sorted immediately below; hash-order appends cannot leak out
-    for (const auto &[line, mshr] : outstanding_)
-        out.push_back({line, mshr.ready, mshr.sectors});
+    out.reserve(mshr_count_);
+    for (const Mshr &m : mshr_)
+        if (m.used != 0)
+            out.push_back({m.line, m.ready, m.sectors});
     std::sort(out.begin(), out.end(),
               [](const MshrEntry &a, const MshrEntry &b) {
                   return a.line < b.line;
@@ -54,64 +54,134 @@ Cache::Cache(const CacheConfig &config) : cfg_(config)
         if (num_sets_ == 0)
             num_sets_ = 1;
     }
-    sets_.resize(num_sets_);
-}
-
-std::uint32_t
-Cache::setOf(std::uint64_t line) const
-{
-    return std::uint32_t(line % num_sets_);
-}
-
-std::uint32_t
-Cache::lookupAndTouch(std::uint64_t line, std::uint32_t add_sectors)
-{
-    Set &s = sets_[setOf(line)];
-    auto it = s.where.find(line);
-    if (it == s.where.end())
-        return 0;
-    s.lru.splice(s.lru.begin(), s.lru, it->second.pos); // touch to MRU
-    it->second.sectors |= add_sectors;
-    return it->second.sectors;
+    if (ways_ == 0)
+        throw std::invalid_argument("cache must hold at least one line");
+    set_mask_ = std::has_single_bit(num_sets_) ? num_sets_ - 1 : kNil;
+    const std::size_t slots = std::size_t(num_sets_) * ways_;
+    tag_.assign(slots, 0);
+    slot_.assign(slots, Slot{});
+    sets_.assign(num_sets_, SetLru{});
+    if (ways_ > kMaxScanWays) {
+        index_.assign(std::bit_ceil(2 * slots), kNil); // <= 1/2 full
+        index_shift_ =
+            64 - std::uint32_t(std::countr_zero(index_.size()));
+        index_mask_ = std::uint32_t(index_.size() - 1);
+    }
+    resizeMshrs(64);
 }
 
 bool
 Cache::contains(std::uint64_t line) const
 {
-    const Set &s = sets_[setOf(line)];
-    return s.where.find(line) != s.where.end();
+    return findSlot(setOf(line), line) != kNil;
 }
 
 void
-Cache::insert(std::uint64_t line, std::uint32_t sectors)
+Cache::insert(std::uint32_t set, std::uint64_t line,
+              std::uint32_t sectors)
 {
-    Set &s = sets_[setOf(line)];
-    auto it = s.where.find(line);
-    if (it != s.where.end()) {
-        it->second.sectors |= sectors;
-        return;
+    SetLru &s = sets_[set];
+    std::uint32_t slot;
+    if (s.fill < ways_) {
+        slot = set * ways_ + s.fill++;
+    } else {
+        slot = s.tail; // evict the LRU line, reuse its slot
+        unlink(s, slot);
+        if (!index_.empty() && !COOPRT_MUTATE(StaleLineIndex))
+            indexErase(slot);
     }
-    if (s.lru.size() >= ways_) {
-        s.where.erase(s.lru.back());
-        s.lru.pop_back();
-    }
-    s.lru.push_front(line);
-    s.where[line] = Way{s.lru.begin(), sectors};
+    tag_[slot] = line;
+    slot_[slot].sectors = sectors;
+    pushFront(s, slot);
+    if (!index_.empty())
+        indexInsert(slot);
 }
 
 void
-Cache::maybeCompactOutstanding(std::uint64_t now)
+Cache::indexInsert(std::uint32_t slot)
 {
-    // Drop completed fills occasionally so the MSHR map stays small.
-    if (outstanding_.size() < 4096 || now - last_compact_ < 10000)
-        return;
+    std::uint32_t i = hashLine(tag_[slot], index_shift_);
+    while (index_[i] != kNil)
+        i = (i + 1) & index_mask_;
+    index_[i] = slot;
+}
+
+void
+Cache::indexErase(std::uint32_t slot)
+{
+    std::uint32_t hole = hashLine(tag_[slot], index_shift_);
+    while (index_[hole] != slot)
+        hole = (hole + 1) & index_mask_;
+    // Backward-shift deletion: pull later entries of the probe run
+    // into the hole unless that would move one before its home.
+    for (std::uint32_t j = (hole + 1) & index_mask_;
+         index_[j] != kNil; j = (j + 1) & index_mask_) {
+        const std::uint32_t home =
+            hashLine(tag_[index_[j]], index_shift_);
+        if (((j - home) & index_mask_) >= ((j - hole) & index_mask_)) {
+            index_[hole] = index_[j];
+            hole = j;
+        }
+    }
+    index_[hole] = kNil;
+}
+
+Cache::Mshr &
+Cache::insertMshr(std::uint32_t bucket, std::uint64_t line)
+{
+    mshr_count_++;
+    Mshr m;
+    m.line = line;
+    m.used = 1;
+    if (4 * mshr_count_ > 3 * mshr_.size()) {
+        resizeMshrs(2 * mshr_.size());
+        return placeMshr(m);
+    }
+    mshr_[bucket] = m;
+    return mshr_[bucket];
+}
+
+Cache::Mshr &
+Cache::placeMshr(const Mshr &m)
+{
+    std::uint32_t i = hashLine(m.line, mshr_shift_);
+    while (mshr_[i].used != 0)
+        i = (i + 1) & mshr_mask_;
+    mshr_[i] = m;
+    return mshr_[i];
+}
+
+void
+Cache::resizeMshrs(std::size_t buckets)
+{
+    std::vector<Mshr> old(buckets);
+    old.swap(mshr_);
+    mshr_shift_ = 64 - std::uint32_t(std::countr_zero(buckets));
+    mshr_mask_ = std::uint32_t(buckets - 1);
+    for (const Mshr &m : old)
+        if (m.used != 0)
+            placeMshr(m);
+}
+
+void
+Cache::compactMshrs(std::uint64_t now)
+{
     last_compact_ = now;
-    for (auto it = outstanding_.begin(); it != outstanding_.end();) {
-        if (it->second.ready <= now)
-            it = outstanding_.erase(it);
-        else
-            ++it;
-    }
+    std::vector<Mshr> live;
+    for (const Mshr &m : mshr_)
+        if (m.used != 0 && m.ready > now)
+            live.push_back(m);
+    clearMshrs();
+    for (const Mshr &m : live)
+        placeMshr(m);
+    mshr_count_ = live.size();
+}
+
+void
+Cache::clearMshrs()
+{
+    std::fill(mshr_.begin(), mshr_.end(), Mshr{});
+    mshr_count_ = 0;
 }
 
 #if COOPRT_CHECK_ENABLED
@@ -133,22 +203,47 @@ Cache::auditInvariants(std::uint64_t line, std::uint64_t now) const
                      std::to_string(stats_.sector_misses) +
                      " > misses=" + std::to_string(stats_.misses));
 
-    // The touched set's LRU list and tag map mirror each other and
-    // respect the associativity bound.
-    const Set &s = sets_[setOf(line)];
-    COOPRT_AUDIT(check_label_, "mem.cache_lru_consistent", now,
-                 s.lru.size() == s.where.size() &&
-                     s.lru.size() <= ways_,
-                 "set " + std::to_string(setOf(line)) + " lru=" +
-                     std::to_string(s.lru.size()) + " map=" +
-                     std::to_string(s.where.size()) + " ways=" +
-                     std::to_string(ways_));
-    for (auto it = s.lru.begin(); it != s.lru.end(); ++it) {
-        auto w = s.where.find(*it);
+    // Walking the touched set's LRU list from MRU to LRU visits
+    // exactly its `fill` slots, each back-linked to its predecessor
+    // and found again by the tag lookup (index or set scan).
+    const std::uint32_t set = setOf(line);
+    const SetLru &s = sets_[set];
+    const std::uint32_t base = set * ways_;
+    std::uint32_t len = 0;
+    std::uint32_t prev = kNil;
+    for (std::uint32_t slot = s.head; slot != kNil && len <= s.fill;
+         slot = slot_[slot].next, ++len) {
+        const bool in_set = slot >= base && slot - base < ways_;
         COOPRT_AUDIT(check_label_, "mem.cache_lru_consistent", now,
-                     w != s.where.end() && w->second.pos == it,
-                     "line " + std::to_string(*it) +
-                         " on the LRU list lacks a matching tag");
+                     in_set && slot_[slot].prev == prev &&
+                         findSlot(set, tag_[slot]) == slot,
+                     "set " + std::to_string(set) + " slot " +
+                         std::to_string(slot) + " (line " +
+                         std::to_string(in_set ? tag_[slot] : 0) +
+                         ") is not linked or found back");
+        if (!in_set)
+            return;
+        prev = slot;
+    }
+    COOPRT_AUDIT(check_label_, "mem.cache_lru_consistent", now,
+                 len == s.fill && s.tail == prev && s.fill <= ways_,
+                 "set " + std::to_string(set) + " lru=" +
+                     std::to_string(len) + " fill=" +
+                     std::to_string(s.fill) + " ways=" +
+                     std::to_string(ways_));
+    // The index holds one entry per resident line, no stale ones.
+    if (!index_.empty()) {
+        std::size_t resident = 0;
+        for (const SetLru &x : sets_)
+            resident += x.fill;
+        const std::size_t entries = std::size_t(
+            std::count_if(index_.begin(), index_.end(),
+                          [](std::uint32_t e) { return e != kNil; }));
+        COOPRT_AUDIT(check_label_, "mem.cache_lru_consistent", now,
+                     entries == resident,
+                     "index holds " + std::to_string(entries) +
+                         " entries for " + std::to_string(resident) +
+                         " resident lines");
     }
 }
 #endif // COOPRT_CHECK_ENABLED
@@ -156,7 +251,7 @@ Cache::auditInvariants(std::uint64_t line, std::uint64_t now) const
 void
 Cache::resetTiming()
 {
-    outstanding_.clear();
+    clearMshrs();
     last_compact_ = 0;
     stats_ = CacheStats{};
 }
@@ -164,11 +259,9 @@ Cache::resetTiming()
 void
 Cache::reset()
 {
-    for (auto &s : sets_) {
-        s.lru.clear();
-        s.where.clear();
-    }
-    outstanding_.clear();
+    std::fill(sets_.begin(), sets_.end(), SetLru{});
+    std::fill(index_.begin(), index_.end(), kNil);
+    clearMshrs();
     stats_ = CacheStats{};
 }
 

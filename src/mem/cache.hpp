@@ -12,15 +12,20 @@
  * Outstanding misses are tracked per line so that secondary misses to
  * an in-flight line merge onto the same fill (no duplicate downstream
  * traffic), which is where ray coherence shows up in bandwidth.
+ *
+ * All state lives in fixed-shape flat arrays, the way hardware builds
+ * tag stores and MSHR files: one `set * ways + way` slot per line
+ * (tag, resident-sector mask, doubly linked LRU order as `uint32`
+ * slot links), a small open-addressed line index for sets too wide to
+ * scan, and one open-addressed MSHR table keyed by line.
  */
 
 #ifndef COOPRT_MEM_CACHE_HPP
 #define COOPRT_MEM_CACHE_HPP
 
+#include <algorithm>
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "check/check.hpp"
@@ -94,16 +99,16 @@ class Cache
 
     /**
      * Snapshot of the in-flight fills, sorted by line address. The
-     * MSHR table itself is an unordered_map, so anything that emits,
+     * MSHR table is open-addressed, so its slot order follows the
+     * line hash and the table's growth history; anything that emits,
      * audits or compares in-flight state must go through this
-     * accessor — hash order is not part of the simulator's
-     * deterministic surface (cooprt-lint: nondeterministic-iteration
-     * rejects direct iteration into a sink).
+     * accessor — slot order is not part of the simulator's
+     * deterministic surface.
      */
     std::vector<MshrEntry> outstandingLines() const;
 
     /** Live MSHR entries (completed-but-uncompacted fills count). */
-    std::size_t mshrLive() const { return outstanding_.size(); }
+    std::size_t mshrLive() const { return mshr_count_; }
 
     /** Component path reported by COOPRT_CHECK audits ("mem.l1.sm0",
      *  "mem.l2", ...). No-op in default builds. */
@@ -186,23 +191,29 @@ class Cache
            std::uint64_t now, FetchFn fetchBelow)
     {
         stats_.accesses++;
+        const std::uint32_t set = setOf(line);
         if (mscope_ != nullptr)
-            mscope_->touch(line, setOf(line));
+            mscope_->touch(line, set);
         if (cfg_.sector_bytes == 0)
             sectors = 1u;
+        // Every access touches a resident line to MRU, merge or not.
+        const std::uint32_t slot = findSlot(set, line);
+        if (slot != kNil)
+            touch(set, slot);
         // Outstanding fill covering all needed sectors? Merge (MSHR
         // secondary miss) and wait for the in-flight data; checked
-        // before the tag lookup because the line and its sector bits
+        // before the tag state because the line and its sector bits
         // are installed at miss time.
-        auto mshr = outstanding_.find(line);
-        if (mshr != outstanding_.end() && mshr->second.ready > now &&
-            (sectors & ~mshr->second.sectors) == 0) {
+        const std::uint32_t bucket = probeMshr(line);
+        Mshr *mshr = mshr_[bucket].used != 0 ? &mshr_[bucket] : nullptr;
+        if (mshr != nullptr && mshr->ready > now &&
+            (sectors & ~mshr->sectors) == 0) {
             stats_.mshr_merges++;
-            lookupAndTouch(line, 0);
             COOPRT_CHECK_ONLY(auditInvariants(line, now);)
-            return mshr->second.ready;
+            return mshr->ready;
         }
-        const std::uint32_t resident = lookupAndTouch(line, 0);
+        const std::uint32_t resident =
+            slot != kNil ? slot_[slot].sectors : 0;
         std::uint32_t missing = sectors & ~resident;
         if (resident != 0 && missing == 0) {
             stats_.hits += COOPRT_MUTATE(CacheHitMiscount) ? 2 : 1;
@@ -212,16 +223,27 @@ class Cache
         stats_.misses++;
         if (resident != 0)
             stats_.sector_misses++;
+        // fetchBelow reaches the next level only, never this cache,
+        // so `slot` and `mshr` stay valid across the call.
         const std::uint64_t ready =
             fetchBelow(line, missing ? missing : sectors,
                        now + cfg_.latency);
-        auto &slot = outstanding_[line];
-        if (slot.ready <= now)
-            slot.sectors = 0;
-        slot.ready = std::max(slot.ready, ready);
-        slot.sectors |= sectors;
-        insert(line, sectors);
-        maybeCompactOutstanding(now);
+        Mshr &fill =
+            mshr != nullptr ? *mshr : insertMshr(bucket, line);
+        if (fill.ready <= now)
+            fill.sectors = 0;
+        fill.ready = std::max(fill.ready, ready);
+        fill.sectors |= sectors;
+        if (slot != kNil)
+            slot_[slot].sectors |= sectors;
+        else
+            insert(set, line, sectors);
+        // Drop completed fills occasionally so the MSHR table stays
+        // small. The rule is part of the model: on the L2, whose
+        // `now` is a bank-local start and not monotone, it changes
+        // which fills a later access still merges into.
+        if (mshr_count_ >= 4096 && now - last_compact_ >= 10000)
+            compactMshrs(now);
         COOPRT_CHECK_ONLY(auditInvariants(line, now);)
         return ready;
     }
@@ -252,51 +274,170 @@ class Cache
   private:
 #if COOPRT_CHECK_ENABLED
     /**
-     * Per-access audit: counter conservation plus LRU/tag-map
+     * Per-access audit: counter conservation plus LRU/tag-lookup
      * consistency of the set @p line maps to (DESIGN.md catalogue).
      */
     void auditInvariants(std::uint64_t line, std::uint64_t now) const;
 #endif
 
-    /**
-     * Look up @p line: returns the resident sector mask (0 when
-     * absent), touches the LRU and ORs @p add_sectors into the
-     * resident mask when present.
-     */
-    std::uint32_t lookupAndTouch(std::uint64_t line,
-                                 std::uint32_t add_sectors);
-    void insert(std::uint64_t line, std::uint32_t sectors);
-    std::uint32_t setOf(std::uint64_t line) const;
-    void maybeCompactOutstanding(std::uint64_t now);
+    /** No slot / empty index bucket / end of an LRU list. */
+    static constexpr std::uint32_t kNil = 0xffffffffu;
+    /** Sets with more ways than this find lines through index_. */
+    static constexpr std::uint32_t kMaxScanWays = 32;
+
+    /** Per-line state, slot = set * ways + way. */
+    struct Slot
+    {
+        std::uint32_t sectors = 0; ///< resident-sector mask
+        std::uint32_t prev = kNil; ///< toward MRU
+        std::uint32_t next = kNil; ///< toward LRU
+    };
+    /** Per-set LRU ends; ways [0, fill) hold lines. */
+    struct SetLru
+    {
+        std::uint32_t head = kNil; ///< MRU slot
+        std::uint32_t tail = kNil; ///< LRU slot (next victim)
+        std::uint32_t fill = 0;
+    };
+    /** In-flight fill of one line: ready cycle + sectors filling. */
+    struct Mshr
+    {
+        std::uint64_t line = 0;
+        std::uint64_t ready = 0;
+        std::uint32_t sectors = 0;
+        std::uint32_t used = 0; ///< 0 = empty bucket
+    };
+
+    /** Fibonacci hash of @p line into `64 - shift` bits. */
+    static std::uint32_t
+    hashLine(std::uint64_t line, std::uint32_t shift)
+    {
+        return std::uint32_t((line * 0x9e3779b97f4a7c15ull) >> shift);
+    }
+
+    std::uint32_t
+    setOf(std::uint64_t line) const
+    {
+        return set_mask_ != kNil ? std::uint32_t(line) & set_mask_
+                                 : std::uint32_t(line % num_sets_);
+    }
+
+    /** Slot of resident @p line in @p set, or kNil. */
+    std::uint32_t
+    findSlot(std::uint32_t set, std::uint64_t line) const
+    {
+        if (index_.empty()) {
+            const std::uint32_t base = set * ways_;
+            const std::uint64_t *tags = tag_.data() + base;
+            const std::uint32_t fill = sets_[set].fill;
+            for (std::uint32_t w = 0; w < fill; ++w)
+                if (tags[w] == line)
+                    return base + w;
+            return kNil;
+        }
+        for (std::uint32_t i = hashLine(line, index_shift_);;
+             i = (i + 1) & index_mask_) {
+            const std::uint32_t s = index_[i];
+            if (s == kNil || tag_[s] == line)
+                return s;
+        }
+    }
+
+    /** Move @p slot of @p set to the MRU end. */
+    void
+    touch(std::uint32_t set, std::uint32_t slot)
+    {
+        SetLru &s = sets_[set];
+        if (s.head == slot)
+            return;
+        unlink(s, slot);
+        pushFront(s, slot);
+    }
+
+    void
+    unlink(SetLru &s, std::uint32_t slot)
+    {
+        const Slot &x = slot_[slot];
+        if (x.prev != kNil)
+            slot_[x.prev].next = x.next;
+        else
+            s.head = x.next;
+        if (x.next != kNil)
+            slot_[x.next].prev = x.prev;
+        else
+            s.tail = x.prev;
+    }
+
+    void
+    pushFront(SetLru &s, std::uint32_t slot)
+    {
+        slot_[slot].prev = kNil;
+        slot_[slot].next = s.head;
+        if (s.head != kNil)
+            slot_[s.head].prev = slot;
+        else
+            s.tail = slot;
+        s.head = slot;
+    }
+
+    /** Install absent @p line at the MRU end, evicting the LRU line
+     *  of a full set. */
+    void insert(std::uint32_t set, std::uint64_t line,
+                std::uint32_t sectors);
+    void indexInsert(std::uint32_t slot);
+    void indexErase(std::uint32_t slot);
+
+    /** Bucket holding @p line, else the empty bucket ending its
+     *  probe run. */
+    std::uint32_t
+    probeMshr(std::uint64_t line) const
+    {
+        std::uint32_t i = hashLine(line, mshr_shift_);
+        while (mshr_[i].used != 0 && mshr_[i].line != line)
+            i = (i + 1) & mshr_mask_;
+        return i;
+    }
+
+    /** New zeroed entry for absent @p line in the empty @p bucket
+     *  probeMshr() returned (grows past three-quarters load). */
+    Mshr &insertMshr(std::uint32_t bucket, std::uint64_t line);
+    /** Place @p m in its first free bucket (no growth check). */
+    Mshr &placeMshr(const Mshr &m);
+    void resizeMshrs(std::size_t buckets);
+    /** Erase every fill with `ready <= now`; restart the interval. */
+    void compactMshrs(std::uint64_t now);
+    void clearMshrs();
 
     CacheConfig cfg_;
     CacheStats stats_;
     std::uint32_t num_sets_;
+    /** num_sets_ - 1 when a power of two (set = line & mask), else
+     *  kNil (set = line % num_sets_). */
+    std::uint32_t set_mask_;
     std::uint32_t ways_;
 
+    std::vector<std::uint64_t> tag_; ///< line held by each slot
+    std::vector<Slot> slot_;
+    std::vector<SetLru> sets_;
     /**
-     * Per-set LRU list (front = MRU) plus a map from line to its list
-     * position and resident-sector mask for O(1) touch.
+     * Open-addressed (linear probing) line -> slot index over the
+     * whole cache, used when ways > kMaxScanWays; empty otherwise.
+     * At most half full, so probes stay short.
      */
-    struct Way
-    {
-        std::list<std::uint64_t>::iterator pos;
-        std::uint32_t sectors = 0;
-    };
-    struct Set
-    {
-        std::list<std::uint64_t> lru; // front = most recent
-        std::unordered_map<std::uint64_t, Way> where;
-    };
-    std::vector<Set> sets_;
+    std::vector<std::uint32_t> index_;
+    std::uint32_t index_shift_ = 0;
+    std::uint32_t index_mask_ = 0;
 
-    /** In-flight fill: ready cycle + sectors being filled. */
-    struct Mshr
-    {
-        std::uint64_t ready = 0;
-        std::uint32_t sectors = 0;
-    };
-    std::unordered_map<std::uint64_t, Mshr> outstanding_;
+    /**
+     * Open-addressed (linear probing) MSHR table, at most three
+     * quarters full: denser than index_ because it holds thousands of
+     * entries per cache, so its size sets the L1s' memory footprint.
+     * Entries leave only through compactMshrs() and resets.
+     */
+    std::vector<Mshr> mshr_;
+    std::uint32_t mshr_shift_ = 0;
+    std::uint32_t mshr_mask_ = 0;
+    std::size_t mshr_count_ = 0;
     std::uint64_t last_compact_ = 0;
     memscope::CacheScope *mscope_ = nullptr; // borrowed, may be null
 

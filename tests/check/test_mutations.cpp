@@ -151,6 +151,24 @@ TEST_F(MutationTest, CacheHitMiscount)
         });
 }
 
+TEST_F(MutationTest, StaleLineIndex)
+{
+    // 64 fully associative ways: lines are found through the index.
+    // The 65th distinct line evicts line 0; leaving line 0's index
+    // entry behind makes the index hold more entries than the cache
+    // holds lines.
+    expectCaught(
+        check::Mutation::StaleLineIndex, "mem.cache_lru_consistent",
+        [] {
+            mem::Cache cache(mem::CacheConfig{64 * 128, 0, 128, 10});
+            auto below = [](std::uint64_t, std::uint64_t t) {
+                return t + 100;
+            };
+            for (std::uint64_t line = 0; line <= 64; ++line)
+                cache.access(line, line, below);
+        });
+}
+
 TEST_F(MutationTest, L2BankTimeTravel)
 {
     expectCaught(check::Mutation::L2BankTimeTravel,
@@ -228,7 +246,7 @@ TEST_F(MutationTest, CatalogueFullyExercised)
 {
     // One TEST_F above per entry; this guards against a new Mutation
     // being added without a matching detection test.
-    EXPECT_EQ(check::allMutations().size(), 13u)
+    EXPECT_EQ(check::allMutations().size(), 14u)
         << "new mutation added: write its detection test and update "
            "this count";
 }
