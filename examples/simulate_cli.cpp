@@ -83,8 +83,7 @@
  * Host-side telemetry (DESIGN.md "Telemetry" / src/telemetry/):
  *   --telemetry           record phase-scoped wall-clock spans
  *                         (scene load, BVH build, warmup, sim loop,
- *                         report), derived throughput (cycles/sec,
- *                         rays/sec) and RSS; print a summary line.
+ *                         report) and RSS; print a summary line.
  *                         Unlike the observers above this measures
  *                         the simulator process, not the simulated
  *                         GPU; simulated results stay bit-identical.
@@ -100,20 +99,15 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 
 #include <optional>
 
 #include "cli_args.hpp"
 #include "core/build_info.hpp"
+#include "core/observers.hpp"
 #include "core/report.hpp"
-#include "core/simulation.hpp"
-#include "memscope/memscope.hpp"
-#include "prof/prof.hpp"
-#include "raytrace/raytrace.hpp"
 #include "telemetry/telemetry.hpp"
-#include "trace/session.hpp"
 
 namespace {
 
@@ -150,21 +144,8 @@ main(int argc, char **argv)
     bool scene_explicit = false;
     core::RunConfig cfg;
     bool json = false;
-    bool profile = false;
-    bool ray_trace = false;
-    bool memscope_on = false;
-    std::string trace_path;
-    std::string metrics_path;
-    std::string profile_folded_path;
-    std::string profile_json_path;
-    std::string ray_out_path;
-    std::string memscope_folded_path;
-    std::string memscope_json_path;
-    bool telemetry_on = false;
-    std::string telemetry_out_path;
+    core::ObserverRequest req;
     double heartbeat_s = 0.0;
-    trace::SessionOptions trace_opt;
-    raytrace::RecorderConfig ray_cfg;
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -260,50 +241,42 @@ main(int argc, char **argv)
         } else if (a == "--json") {
             json = true;
         } else if (a == "--trace") {
-            trace_path = next("--trace");
-            trace_opt.events = true;
+            req.sinks.trace = next("--trace");
         } else if (a == "--metrics") {
-            metrics_path = next("--metrics");
-            trace_opt.metrics = true;
+            req.sinks.metrics = next("--metrics");
         } else if (a == "--trace-filter") {
-            trace_opt.filter = next("--trace-filter");
+            req.trace.filter = next("--trace-filter");
         } else if (a == "--trace-capacity") {
-            trace_opt.ring_capacity = std::size_t(cli::intArg(
+            req.trace.ring_capacity = std::size_t(cli::intArg(
                 "--trace-capacity", next("--trace-capacity"), 1));
         } else if (a == "--profile") {
-            profile = true;
+            req.profiler = true;
         } else if (a == "--profile-out") {
-            profile_folded_path = next("--profile-out");
-            profile = true;
+            req.sinks.prof_folded = next("--profile-out");
         } else if (a == "--profile-json") {
-            profile_json_path = next("--profile-json");
-            profile = true;
+            req.sinks.prof_json = next("--profile-json");
         } else if (a == "--ray-trace") {
-            ray_trace = true;
+            req.ray_recorder = true;
         } else if (a == "--ray-sample-k") {
-            ray_cfg.sample_k =
+            req.ray.sample_k =
                 cli::intArg("--ray-sample-k", next("--ray-sample-k"), 1);
-            ray_trace = true;
+            req.ray_recorder = true;
         } else if (a == "--ray-out") {
-            ray_out_path = next("--ray-out");
-            ray_trace = true;
+            req.sinks.raystats = next("--ray-out");
         } else if (a == "--memscope") {
-            memscope_on = true;
+            req.memscope = true;
         } else if (a == "--memscope-out") {
-            memscope_folded_path = next("--memscope-out");
-            memscope_on = true;
+            req.sinks.memscope_folded = next("--memscope-out");
         } else if (a == "--memscope-json") {
-            memscope_json_path = next("--memscope-json");
-            memscope_on = true;
+            req.sinks.memscope_json = next("--memscope-json");
         } else if (a == "--telemetry") {
-            telemetry_on = true;
+            req.telemetry = true;
         } else if (a == "--telemetry-out") {
-            telemetry_out_path = next("--telemetry-out");
-            telemetry_on = true;
+            req.sinks.telemetry = next("--telemetry-out");
         } else if (a == "--heartbeat-s") {
             heartbeat_s =
                 cli::realArg("--heartbeat-s", next("--heartbeat-s"));
-            telemetry_on = true;
+            req.telemetry = true;
         } else {
             return usage(("unknown flag " + a).c_str());
         }
@@ -342,41 +315,22 @@ main(int argc, char **argv)
         return usage(e.what());
     }
 
-    // The session outlives the run; metrics sampling shares the
-    // GPU's activity-sampling interval so the exported series lines
-    // up with the paper's 500-cycle AerialVision-style samples.
-    trace_opt.metrics_interval = cfg.gpu.sample_interval;
-    trace::Session session(trace_opt);
-    if (trace_opt.events || trace_opt.metrics)
-        cfg.trace_session = &session;
-    prof::Profiler profiler;
-    if (profile)
-        cfg.profiler = &profiler;
-    raytrace::Recorder ray(ray_cfg);
-    if (ray_trace)
-        cfg.ray_recorder = &ray;
-    memscope::Collector mscope;
-    if (memscope_on)
-        cfg.memscope = &mscope;
-    telemetry::Recorder telem;
-    if (telemetry_on)
-        cfg.telemetry = &telem;
-
+    core::ObserverSet observers(std::move(req), cfg);
     const core::Simulation &sim = core::simulationFor(scene_label);
     core::RunOutcome out;
     {
         // Heartbeat scope: lives exactly as long as the run, reading
         // the recorder's lock-free live gauges from its own thread.
         std::optional<telemetry::Heartbeat> heartbeat;
-        if (heartbeat_s > 0.0)
+        if (heartbeat_s > 0.0 && cfg.telemetry != nullptr)
             heartbeat.emplace(
                 heartbeat_s,
                 [&] {
                     const telemetry::Rss rss = telemetry::readRss();
                     return scene_label + " cycle " +
-                           std::to_string(telem.liveCycle()) +
+                           std::to_string(cfg.telemetry->liveCycle()) +
                            ", rays retired " +
-                           std::to_string(telem.liveRays()) +
+                           std::to_string(cfg.telemetry->liveRays()) +
                            ", rss " +
                            std::to_string(rss.current_kb / 1024) +
                            " MB";
@@ -384,69 +338,12 @@ main(int argc, char **argv)
                 std::cerr);
         out = sim.run(cfg);
     }
-    const double report_t0 =
-        telemetry_on ? telemetry::monotonicSeconds() : 0.0;
-
-    auto write_file = [](const std::string &path, auto &&writer,
-                         const char *what) {
-        std::ofstream os(path);
-        if (!os) {
-            std::cerr << "error: cannot open " << path << " for "
-                      << what << "\n";
-            std::exit(1);
-        }
-        writer(os);
-        std::cerr << "[trace] wrote " << what << " to " << path
-                  << "\n";
-    };
-    if (!trace_path.empty())
-        write_file(trace_path,
-                   [&](std::ostream &os) { session.writeTrace(os); },
-                   "chrome trace");
-    if (!metrics_path.empty())
-        write_file(
-            metrics_path,
-            [&](std::ostream &os) { session.writeMetricsCsv(os); },
-            "metrics csv");
-    if (!profile_folded_path.empty())
-        write_file(profile_folded_path,
-                   [&](std::ostream &os) {
-                       profiler.writeFolded(os, out.scene);
-                   },
-                   "folded profile");
-    if (!profile_json_path.empty())
-        write_file(profile_json_path,
-                   [&](std::ostream &os) {
-                       profiler.writeJson(os, out.scene);
-                   },
-                   "json profile");
-    if (!ray_out_path.empty()) {
-        const bool csv =
-            ray_out_path.size() >= 4 &&
-            ray_out_path.compare(ray_out_path.size() - 4, 4,
-                                 ".csv") == 0;
-        write_file(ray_out_path,
-                   [&](std::ostream &os) {
-                       if (csv)
-                           ray.writeRayStatsCsv(os);
-                       else
-                           ray.writeRayStatsJson(os, out.scene);
-                   },
-                   csv ? "ray stats csv" : "ray stats json");
+    try {
+        observers.writeSinks(out, &std::cerr);
+    } catch (const std::exception &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 1;
     }
-    if (!memscope_folded_path.empty())
-        write_file(memscope_folded_path,
-                   [&](std::ostream &os) {
-                       mscope.writeFolded(os, out.scene);
-                   },
-                   "folded memscope stacks");
-    if (!memscope_json_path.empty())
-        write_file(memscope_json_path,
-                   [&](std::ostream &os) {
-                       mscope.writeJson(os, out.scene);
-                       os << '\n';
-                   },
-                   "json memscope profile");
     if (cfg.trace_session != nullptr) {
         const auto &ts = out.traceSummary();
         std::cerr << "[trace] events recorded " << ts.events_recorded
@@ -454,20 +351,6 @@ main(int argc, char **argv)
                   << "), metric samples " << ts.metric_samples
                   << " over " << ts.registered_metrics
                   << " metrics\n";
-    }
-
-    if (telemetry_on) {
-        // The report phase covers the sink emission above; the
-        // telemetry sink itself is written last so it can carry the
-        // measurement.
-        telem.recordPhase(telemetry::Phase::Report,
-                          telemetry::monotonicSeconds() - report_t0);
-        if (!telemetry_out_path.empty())
-            write_file(telemetry_out_path,
-                       [&](std::ostream &os) {
-                           telem.writeJson(os, out.scene);
-                       },
-                       "telemetry json");
     }
 
     if (json) {
@@ -513,7 +396,7 @@ main(int argc, char **argv)
                         out.query.oracleMatches() ? "agree"
                                                   : "DISAGREE");
     }
-    if (profile) {
+    if (cfg.profiler != nullptr) {
         const auto &p = out.gpu.prof_summary;
         std::cout << "  stall taxonomy (" << p.resident_cycles
                   << " warp-resident cycles):\n";
@@ -528,16 +411,17 @@ main(int argc, char **argv)
                         denom > 0 ? 100.0 * double(c) / denom : 0.0);
         }
     }
-    if (ray_trace) {
+    if (cfg.ray_recorder != nullptr) {
         const auto &r = out.gpu.ray_summary;
         std::cout << "  ray provenance:   " << r.stats.rays_sampled
                   << " rays over " << r.stats.warps_sampled << "/"
                   << r.stats.warps_seen << " warps, "
                   << r.stats.events_recorded << " events (dropped "
                   << r.stats.events_dropped << ")\n";
-        raytrace::writeCriticalPath(std::cout, ray.criticalPath());
+        raytrace::writeCriticalPath(std::cout,
+                                    cfg.ray_recorder->criticalPath());
     }
-    if (memscope_on) {
+    if (cfg.memscope != nullptr) {
         const auto &m = out.gpu.memscope_summary;
         std::cout << "  memscope:         " << m.node_accesses
                   << " node fetches, " << m.node_bytes
@@ -552,13 +436,12 @@ main(int argc, char **argv)
                 d.depth,
                 static_cast<unsigned long long>(d.accesses),
                 100.0 * d.missRate(), d.avgLanes());
-        mscope.writeHotNodes(std::cout, 10);
+        cfg.memscope->writeHotNodes(std::cout, 10);
     }
-    if (telemetry_on) {
-        const auto &t = telem.summary();
-        std::printf("  telemetry:        sim %.3f s, %.3g cycles/s, "
-                    "%.3g rays/s, rss %llu/%llu MB\n",
-                    t.sim_seconds, t.cycles_per_sec, t.rays_per_sec,
+    if (cfg.telemetry != nullptr) {
+        const auto &t = cfg.telemetry->summary();
+        std::printf("  telemetry:        sim %.3f s, rss %llu/%llu MB\n",
+                    t.sim_seconds,
                     static_cast<unsigned long long>(
                         t.rss.current_kb / 1024),
                     static_cast<unsigned long long>(

@@ -126,8 +126,7 @@ struct RunConfig
      * Optional host-side telemetry recorder (see
      * telemetry/telemetry.hpp): when set, the run records phase-
      * scoped wall-clock spans (scene load, BVH build, warmup, sim
-     * loop), derives throughput gauges (simulated cycles/sec, rays
-     * retired/sec), samples RSS and fills `RunOutcome::telemetry`.
+     * loop), samples RSS and fills `RunOutcome::telemetry`.
      * Unlike its observer peers it measures the simulator process,
      * not the simulated GPU; like them it is borrowed, must outlive
      * the run, is reset by each run that uses it, and is purely

@@ -3,16 +3,14 @@
 #include <chrono>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <ostream>
-#include <stdexcept>
 #include <thread>
 
 #include "check/check.hpp"
+#include "core/observers.hpp"
 #include "core/report.hpp"
-#include "prof/prof.hpp"
 #include "trace/json.hpp"
 
 namespace cooprt::exec {
@@ -40,18 +38,6 @@ resolveWorkers(int jobs_option, std::size_t num_jobs)
     if (num_jobs > 0 && std::size_t(n) > num_jobs)
         n = int(num_jobs);
     return n;
-}
-
-void
-writeSinkFile(const std::string &path,
-              const std::function<void(std::ostream &)> &writer,
-              const char *what)
-{
-    std::ofstream os(path);
-    if (!os)
-        throw std::runtime_error(std::string("cannot open ") + path +
-                                 " for " + what);
-    writer(os);
 }
 
 } // namespace
@@ -141,121 +127,34 @@ runSimJob(const Job &job)
 JobRunner
 Campaign::defaultRunner() const
 {
-    const std::string metrics_dir = options_.metrics_dir;
-    const std::string profile_dir = options_.profile_dir;
-    const bool attach_profiler =
-        options_.attach_profiler || !profile_dir.empty();
-    const std::string raytrace_dir = options_.raytrace_dir;
-    const bool attach_ray =
-        options_.attach_ray_recorder || !raytrace_dir.empty();
-    const raytrace::RecorderConfig ray_config = options_.ray_config;
-    const std::string memscope_dir = options_.memscope_dir;
-    const bool attach_memscope =
-        options_.attach_memscope || !memscope_dir.empty();
-    const std::string telemetry_dir = options_.telemetry_dir;
-    const bool attach_telemetry =
-        options_.attach_telemetry || !telemetry_dir.empty();
-    const std::string report_dir = options_.report_dir;
-    return [metrics_dir, profile_dir, attach_profiler, raytrace_dir,
-            attach_ray, ray_config, memscope_dir, attach_memscope,
-            telemetry_dir, attach_telemetry,
-            report_dir](const Job &job, std::stop_token) {
-        core::RunConfig cfg = job.config;
-
-        // Per-job sinks: every worker gets private session/profiler
-        // instances, so jobs never share observability state.
-        std::optional<trace::Session> session;
-        if (!metrics_dir.empty()) {
-            trace::SessionOptions so;
-            so.metrics = true;
-            so.metrics_interval = cfg.gpu.sample_interval;
-            session.emplace(so);
-            cfg.trace_session = &*session;
-        }
-        std::optional<prof::Profiler> profiler;
-        if (attach_profiler) {
-            profiler.emplace();
-            cfg.profiler = &*profiler;
-        }
-        std::optional<raytrace::Recorder> ray;
-        if (attach_ray) {
-            ray.emplace(ray_config);
-            cfg.ray_recorder = &*ray;
-        }
-        std::optional<memscope::Collector> mscope;
-        if (attach_memscope) {
-            mscope.emplace();
-            cfg.memscope = &*mscope;
-        }
-        std::optional<telemetry::Recorder> telem;
-        if (attach_telemetry) {
-            telem.emplace();
-            cfg.telemetry = &*telem;
-        }
-
-        const core::Simulation &sim =
-            core::simulationFor(job.scene_label);
-        core::RunOutcome out = sim.run(cfg);
-
+    return [o = options_](const Job &job, std::stop_token) {
+        // Every job gets private observers writing
+        // `<dir>/<sanitized tag><ext>`, so jobs never share state.
         const std::string stem = sanitizeTag(job.tag);
-        if (session)
-            writeSinkFile(metrics_dir + "/" + stem + ".metrics.csv",
-                          [&](std::ostream &os) {
-                              session->writeMetricsCsv(os);
-                          },
-                          "per-job metrics");
-        // Sink guards test the optional itself, not just the
-        // directory flag that correlates with it: the engagement
-        // condition lives many lines up, and
-        // bugprone-unchecked-optional-access (rightly) refuses to
-        // reason across that distance.
-        if (profiler && !profile_dir.empty()) {
-            writeSinkFile(profile_dir + "/" + stem + ".folded",
-                          [&](std::ostream &os) {
-                              profiler->writeFolded(os, out.scene);
-                          },
-                          "per-job folded profile");
-            writeSinkFile(profile_dir + "/" + stem + ".prof.json",
-                          [&](std::ostream &os) {
-                              profiler->writeJson(os, out.scene);
-                          },
-                          "per-job json profile");
-        }
-        if (ray && !raytrace_dir.empty())
-            writeSinkFile(raytrace_dir + "/" + stem +
-                              ".raystats.json",
-                          [&](std::ostream &os) {
-                              ray->writeRayStatsJson(os, out.scene);
-                          },
-                          "per-job ray stats");
-        if (mscope && !memscope_dir.empty()) {
-            writeSinkFile(memscope_dir + "/" + stem +
-                              ".memscope.json",
-                          [&](std::ostream &os) {
-                              mscope->writeJson(os, out.scene);
-                              os << '\n';
-                          },
-                          "per-job memscope profile");
-            writeSinkFile(memscope_dir + "/" + stem +
-                              ".memscope.folded",
-                          [&](std::ostream &os) {
-                              mscope->writeFolded(os, out.scene);
-                          },
-                          "per-job memscope folded stacks");
-        }
-        if (telem && !telemetry_dir.empty())
-            writeSinkFile(telemetry_dir + "/" + stem +
-                              ".telemetry.json",
-                          [&](std::ostream &os) {
-                              telem->writeJson(os, out.scene);
-                          },
-                          "per-job telemetry");
-        if (!report_dir.empty())
-            writeSinkFile(report_dir + "/" + stem + ".report.json",
-                          [&](std::ostream &os) {
-                              core::writeJson(os, out);
-                          },
-                          "per-job run report");
+        auto path = [&stem](const std::string &dir, const char *ext) {
+            return dir.empty() ? dir : dir + "/" + stem + ext;
+        };
+        core::ObserverRequest req;
+        req.profiler = o.attach_profiler;
+        req.ray_recorder = o.attach_ray_recorder;
+        req.ray = o.ray_config;
+        req.memscope = o.attach_memscope;
+        req.telemetry = o.attach_telemetry;
+        core::SinkPaths &s = req.sinks;
+        s.metrics = path(o.metrics_dir, ".metrics.csv");
+        s.prof_folded = path(o.profile_dir, ".folded");
+        s.prof_json = path(o.profile_dir, ".prof.json");
+        s.raystats = path(o.raytrace_dir, ".raystats.json");
+        s.memscope_json = path(o.memscope_dir, ".memscope.json");
+        s.memscope_folded = path(o.memscope_dir, ".memscope.folded");
+        s.telemetry = path(o.telemetry_dir, ".telemetry.json");
+        s.report = path(o.report_dir, ".report.json");
+
+        core::RunConfig cfg = job.config;
+        core::ObserverSet observers(std::move(req), cfg);
+        core::RunOutcome out =
+            core::simulationFor(job.scene_label).run(cfg);
+        observers.writeSinks(out);
         return out;
     };
 }
@@ -276,7 +175,7 @@ Campaign::run()
     const double timeout_s = options_.timeout_s;
 
     // Materialize the per-job sink directories before any worker
-    // starts: writeSinkFile opens plain paths, and doing this once
+    // starts: ObserverSet opens plain paths, and doing this once
     // here (rather than per job) keeps workers free of filesystem
     // races on a shared parent.
     for (const std::string *dir :

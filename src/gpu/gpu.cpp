@@ -203,24 +203,7 @@ Gpu::run(const std::vector<WarpProgram *> &programs, bool warm_memory)
     GpuRunResult res;
     res.cycles = now;
     for (const auto &sm : sms_) {
-        const auto &rs = sm->rtUnit().stats();
-        res.rt.node_fetches += rs.node_fetches;
-        res.rt.leaf_fetches += rs.leaf_fetches;
-        res.rt.box_tests += rs.box_tests;
-        res.rt.tri_tests += rs.tri_tests;
-        res.rt.steals += rs.steals;
-        res.rt.coalesced_threads += rs.coalesced_threads;
-        res.rt.stale_pops += rs.stale_pops;
-        res.rt.stack_overflows += rs.stack_overflows;
-        res.rt.retired_warps += rs.retired_warps;
-        res.rt.retired_trace_latency += rs.retired_trace_latency;
-        res.rt.issue_cycles += rs.issue_cycles;
-        res.rt.prefetches += rs.prefetches;
-        res.rt.predictor_hits += rs.predictor_hits;
-        res.rt.predictor_misses += rs.predictor_misses;
-        res.rt.hit_stores += rs.hit_stores;
-        if (rs.max_trace_latency > res.rt.max_trace_latency)
-            res.rt.max_trace_latency = rs.max_trace_latency;
+        res.rt += sm->rtUnit().stats();
 
         res.stalls.rt += sm->stalls().rt;
         res.stalls.mem += sm->stalls().mem;
@@ -232,9 +215,10 @@ Gpu::run(const std::vector<WarpProgram *> &programs, bool warm_memory)
     }
 
 #if COOPRT_CHECK_ENABLED
-    // Aggregate re-summation: the reporting loop above must not drop
-    // an SM or double-count an RT-unit counter. Recompute the totals
-    // independently and pin them against the published aggregate.
+    // Aggregate re-summation: RtUnitStats::operator+= above must not
+    // drop an SM or a field, nor double-count one. Recompute all 16
+    // fields independently and pin them against the published
+    // aggregate.
     {
         rtunit::RtUnitStats audit_rt;
         for (const auto &sm : sms_) {
@@ -247,6 +231,10 @@ Gpu::run(const std::vector<WarpProgram *> &programs, bool warm_memory)
             audit_rt.coalesced_threads += rs.coalesced_threads;
             audit_rt.stale_pops += rs.stale_pops;
             audit_rt.stack_overflows += rs.stack_overflows;
+            audit_rt.retired_warps += rs.retired_warps;
+            audit_rt.retired_trace_latency += rs.retired_trace_latency;
+            if (rs.max_trace_latency > audit_rt.max_trace_latency)
+                audit_rt.max_trace_latency = rs.max_trace_latency;
             audit_rt.issue_cycles += rs.issue_cycles;
             audit_rt.prefetches += rs.prefetches;
             audit_rt.predictor_hits += rs.predictor_hits;
@@ -264,6 +252,12 @@ Gpu::run(const std::vector<WarpProgram *> &programs, bool warm_memory)
                          audit_rt.stale_pops == res.rt.stale_pops &&
                          audit_rt.stack_overflows ==
                              res.rt.stack_overflows &&
+                         audit_rt.retired_warps ==
+                             res.rt.retired_warps &&
+                         audit_rt.retired_trace_latency ==
+                             res.rt.retired_trace_latency &&
+                         audit_rt.max_trace_latency ==
+                             res.rt.max_trace_latency &&
                          audit_rt.issue_cycles == res.rt.issue_cycles &&
                          audit_rt.prefetches == res.rt.prefetches &&
                          audit_rt.predictor_hits ==

@@ -13,6 +13,32 @@ using bvh::NodeRef;
 using geom::kNoHit;
 using geom::Ray;
 
+static_assert(sizeof(RtUnitStats) == 16 * sizeof(std::uint64_t),
+              "a new RtUnitStats field needs operator+= and the "
+              "gpu.rt_stats_aggregation audit to cover it");
+
+RtUnitStats &
+RtUnitStats::operator+=(const RtUnitStats &o)
+{
+    node_fetches += o.node_fetches;
+    leaf_fetches += o.leaf_fetches;
+    box_tests += o.box_tests;
+    tri_tests += o.tri_tests;
+    steals += o.steals;
+    coalesced_threads += o.coalesced_threads;
+    stale_pops += o.stale_pops;
+    stack_overflows += o.stack_overflows;
+    retired_warps += o.retired_warps;
+    retired_trace_latency += o.retired_trace_latency;
+    max_trace_latency = std::max(max_trace_latency, o.max_trace_latency);
+    issue_cycles += o.issue_cycles;
+    prefetches += o.prefetches;
+    predictor_hits += o.predictor_hits;
+    predictor_misses += o.predictor_misses;
+    hit_stores += o.hit_stores;
+    return *this;
+}
+
 RtUnit::RtUnit(const bvh::FlatBvh &bvh, const scene::Mesh &mesh,
                const TraceConfig &config, FetchFn fetch)
     : bvh_(bvh), mesh_(mesh), cfg_(config), fetch_(std::move(fetch))

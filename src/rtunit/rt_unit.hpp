@@ -120,6 +120,10 @@ struct RtUnitStats
     std::uint64_t predictor_hits = 0; ///< predicted prim confirmed
     std::uint64_t predictor_misses = 0;
     std::uint64_t hit_stores = 0;     ///< hit records written back
+
+    /** Fold in another unit's counters: sums, except the maximum
+     *  for max_trace_latency. */
+    RtUnitStats &operator+=(const RtUnitStats &o);
 };
 
 /**

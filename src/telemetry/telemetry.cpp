@@ -124,12 +124,6 @@ Recorder::finishRun(std::uint64_t cycles, std::uint64_t rays_retired)
     summary_.cycles = cycles;
     summary_.rays_retired = rays_retired;
     summary_.sim_seconds = summary_.phase(Phase::SimLoop).seconds;
-    if (summary_.sim_seconds > 0.0) {
-        summary_.cycles_per_sec =
-            double(cycles) / summary_.sim_seconds;
-        summary_.rays_per_sec =
-            double(rays_retired) / summary_.sim_seconds;
-    }
     summary_.rss = readRss();
     publishProgress(cycles, rays_retired);
 }
@@ -180,8 +174,6 @@ Recorder::writeJson(std::ostream &os, const std::string &scene) const
     }
     w.close();
     w.field("sim_seconds", s.sim_seconds);
-    w.field("cycles_per_sec", s.cycles_per_sec);
-    w.field("rays_per_sec", s.rays_per_sec);
     w.field("rss_current_kb", s.rss.current_kb);
     w.field("rss_peak_kb", s.rss.peak_kb);
     w.close();

@@ -8,8 +8,7 @@
  * `src/memscope` observes the *simulated* GPU; this subsystem
  * observes the simulator. Per run it records phase-scoped monotonic
  * wall-clock spans (scene load, BVH build, warmup, sim loop, report
- * emission), derived throughput gauges (simulated cycles/sec, rays
- * retired/sec) and peak/current RSS; per campaign it adds a live
+ * emission) and peak/current RSS; per campaign it adds a live
  * stderr heartbeat, a JSON-lines event log and a Prometheus-style
  * text exposition snapshot.
  *
@@ -28,7 +27,7 @@
  *     telemetry::Recorder rec;
  *     core::RunConfig cfg;
  *     cfg.telemetry = &rec;
- *     auto out = sim.run(cfg);           // phases + throughput
+ *     auto out = sim.run(cfg);           // phases + RSS
  *     rec.writeJson(std::cout, out.scene);
  */
 
@@ -96,7 +95,7 @@ Rss parseProcStatus(std::istream &is);
 Rss readRss();
 
 /* ------------------------------------------------------------------ */
-/* Per-run phase spans and throughput                                  */
+/* Per-run phase spans                                                 */
 /* ------------------------------------------------------------------ */
 
 /**
@@ -105,8 +104,8 @@ Rss readRss();
  * before the first simulated cycle); `SceneLoad` / `BvhBuild` report
  * the one-time construction cost of the process-wide cached scene /
  * BVH the run used (re-reported by every run sharing the cache — see
- * DESIGN.md §16.2). `Report` is timed by the caller around sink
- * emission.
+ * DESIGN.md §16.2). `Report` is timed by `core::ObserverSet` around
+ * the emission of the run's other sinks.
  */
 enum class Phase : int { SceneLoad, BvhBuild, Warmup, SimLoop, Report };
 
@@ -132,8 +131,6 @@ struct Summary
     /* Host-side (nondeterministic) measurements. */
     std::array<PhaseSpan, kNumPhases> phases{};
     double sim_seconds = 0.0;     ///< SimLoop span of this run
-    double cycles_per_sec = 0.0;  ///< cycles / sim_seconds
-    double rays_per_sec = 0.0;    ///< rays_retired / sim_seconds
     Rss rss;                      ///< sampled at finishRun()
 
     const PhaseSpan &phase(Phase p) const
@@ -206,8 +203,8 @@ class Recorder
     { return live_rays_.load(std::memory_order_relaxed); }
 
     /**
-     * Seal the run: store the simulated totals, derive the
-     * throughput gauges from the SimLoop span and sample RSS.
+     * Seal the run: store the simulated totals, copy the SimLoop
+     * span into sim_seconds and sample RSS.
      */
     void finishRun(std::uint64_t cycles, std::uint64_t rays_retired);
 

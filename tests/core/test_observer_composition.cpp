@@ -6,102 +6,87 @@
  * tracing, baseline and CoopRT, for the prof folded + JSON output,
  * the memscope folded + JSON output and the raystats JSON; the
  * shared run also carries a tracing + metrics session and telemetry.
+ * All of them are built and written by one core::ObserverSet.
  */
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "core/simulation.hpp"
-#include "memscope/memscope.hpp"
-#include "prof/prof.hpp"
-#include "raytrace/raytrace.hpp"
-#include "telemetry/telemetry.hpp"
+#include "core/observers.hpp"
 
 namespace {
 
 using namespace cooprt;
 
-/** The observers one run may attach, and their sinks. */
-struct Observers
+std::string
+slurp(const std::string &path)
 {
-    prof::Profiler prof;
-    memscope::Collector mscope;
-    raytrace::Recorder ray;
-
-    std::string
-    profSinks() const
-    {
-        std::ostringstream os;
-        prof.writeFolded(os, "wknd");
-        prof.writeJson(os, "wknd");
-        return os.str();
-    }
-    std::string
-    memscopeSinks() const
-    {
-        std::ostringstream os;
-        mscope.writeFolded(os, "wknd");
-        mscope.writeJson(os, "wknd");
-        return os.str();
-    }
-    std::string
-    rayStats() const
-    {
-        std::ostringstream os;
-        ray.writeRayStatsJson(os, "wknd");
-        return os.str();
-    }
-};
-
-core::RunConfig
-wknd32(bool coop)
-{
-    core::RunConfig cfg;
-    cfg.resolution = 32;
-    cfg.gpu.trace.coop = coop;
-    return cfg;
+    std::ifstream is(path);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
 }
 
 class ObserverComposition : public ::testing::TestWithParam<bool>
-{};
+{
+  protected:
+    void SetUp() override { std::filesystem::create_directories(dir_); }
+
+    /** Run wknd@32 with the observers @p sinks imply and write them;
+     *  the returned slots dangle, so only compare them with null. */
+    core::RunConfig
+    run(const core::SinkPaths &sinks) const
+    {
+        core::RunConfig cfg;
+        cfg.resolution = 32;
+        cfg.gpu.trace.coop = GetParam();
+        core::ObserverRequest req;
+        req.sinks = sinks;
+        core::ObserverSet observers(std::move(req), cfg);
+        observers.writeSinks(core::simulationFor("wknd").run(cfg));
+        return cfg;
+    }
+
+    std::string dir_ = ::testing::TempDir() + "observer_composition_" +
+                       (GetParam() ? "coop/" : "base/");
+};
 
 TEST_P(ObserverComposition, SinksMatchAloneAndTogether)
 {
-    const core::Simulation &sim = core::simulationFor("wknd");
-
-    Observers alone;
-    core::RunConfig cfg = wknd32(GetParam());
-    cfg.profiler = &alone.prof;
-    sim.run(cfg);
-    cfg = wknd32(GetParam());
-    cfg.memscope = &alone.mscope;
-    sim.run(cfg);
-    cfg = wknd32(GetParam());
-    cfg.ray_recorder = &alone.ray;
-    sim.run(cfg);
-
-    // The session's registry must outlive the observers it serves.
-    trace::SessionOptions opt;
-    opt.events = true;
-    opt.metrics = true;
-    trace::Session session(opt);
-    Observers all;
-    telemetry::Recorder telem;
-    cfg = wknd32(GetParam());
-    cfg.profiler = &all.prof;
-    cfg.memscope = &all.mscope;
-    cfg.ray_recorder = &all.ray;
-    cfg.trace_session = &session;
-    cfg.telemetry = &telem;
-    sim.run(cfg);
-
-    EXPECT_EQ(all.profSinks(), alone.profSinks());
-    EXPECT_EQ(all.memscopeSinks(), alone.memscopeSinks());
-    EXPECT_EQ(all.rayStats(), alone.rayStats());
-    EXPECT_GT(all.prof.residentCycles(), 0u);
-    EXPECT_GT(all.ray.stats().rays_sampled, 0u);
+    const std::pair<std::string core::SinkPaths::*, const char *>
+        shared[] = {{&core::SinkPaths::prof_folded, "prof.folded"},
+                    {&core::SinkPaths::prof_json, "prof.json"},
+                    {&core::SinkPaths::raystats, "raystats.json"},
+                    {&core::SinkPaths::memscope_json, "memscope.json"},
+                    {&core::SinkPaths::memscope_folded,
+                     "memscope.folded"}};
+    core::SinkPaths all;
+    all.trace = dir_ + "all.trace.json";
+    all.metrics = dir_ + "all.metrics.csv";
+    all.telemetry = dir_ + "all.telemetry.json";
+    for (const auto &[field, name] : shared) {
+        core::SinkPaths alone;
+        alone.*field = dir_ + "alone." + name;
+        EXPECT_EQ(run(alone).trace_session, nullptr);
+        all.*field = dir_ + "all." + name;
+    }
+    const core::RunConfig cfg = run(all);
+    EXPECT_NE(cfg.trace_session, nullptr);
+    EXPECT_NE(cfg.telemetry, nullptr);
+    for (const auto &[field, name] : shared) {
+        const std::string alone = slurp(dir_ + "alone." + name);
+        EXPECT_FALSE(alone.empty()) << name;
+        EXPECT_EQ(slurp(all.*field), alone) << name;
+    }
+    // The report phase (the last one) times the other sinks, once.
+    const std::string telemetry = slurp(all.telemetry);
+    const auto report = telemetry.find("\"report\":{");
+    ASSERT_NE(report, std::string::npos);
+    EXPECT_NE(telemetry.find("\"count\":1}", report), std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(BaseAndCoop, ObserverComposition,

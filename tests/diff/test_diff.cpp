@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "../byte_mutator.hpp"
 #include "core/report.hpp"
 #include "core/simulation.hpp"
 #include "diff/diff.hpp"
@@ -178,6 +179,38 @@ TEST(Diff, RoundTripThroughJsonReportKeepsIntegersExact)
         for (int l = 0; l < 3; ++l)
             EXPECT_EQ(parsed.depths[i].level[l].delta(),
                       live.depths[i].level[l].delta());
+}
+
+TEST(Diff, SeededByteMutantsOfAReportParseOrFailCleanly)
+{
+    std::ostringstream ss;
+    core::writeJson(ss, wkndPair().base);
+    const std::string valid = ss.str();
+
+    // Every mutant either normalizes, or is rejected with a message
+    // (Invalid parse, false from recordFromReportJson) or an
+    // exception; the sanitizer builds run this too.
+    geom::Pcg32 rng(0xd1ff);
+    int loaded = 0;
+    int rejected = 0;
+    for (int i = 0; i < 2000; ++i) {
+        const std::string m = testutil::mutate(
+            valid, testutil::Mutation(i % testutil::kNumMutations), rng);
+        std::string err;
+        diff::RunRecord rec;
+        try {
+            const diff::JsonValue doc = diff::JsonValue::parse(m, &err);
+            if (doc.valid() && diff::recordFromReportJson(doc, &rec, &err)) {
+                ++loaded;
+                continue;
+            }
+            EXPECT_FALSE(err.empty()) << "mutant " << i;
+        } catch (const std::exception &) {
+        }
+        ++rejected;
+    }
+    EXPECT_GT(loaded, 0);
+    EXPECT_GT(rejected, 0);
 }
 
 TEST(Diff, JsonEmissionIsDeterministic)

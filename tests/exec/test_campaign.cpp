@@ -163,6 +163,31 @@ TEST(ExecCampaign, ResultsKeepSubmissionOrder)
     }
 }
 
+TEST(ExecCampaign, UnopenableSinkFailsTheJobNamingThePath)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() / "cooprt_unopenable_sink_test";
+    fs::remove_all(dir);
+    // A directory where the job's report file should go.
+    fs::create_directories(dir / "wknd.report.json");
+    exec::CampaignOptions opt;
+    opt.jobs = 1;
+    opt.report_dir = dir.string();
+    const auto results = exec::runCampaign(
+        {pinnedJob("wknd", 32, core::ShaderKind::PathTracing, false,
+                   "wknd")},
+        opt);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_FALSE(results[0].ok);
+    ASSERT_TRUE(results[0].failure.has_value());
+    EXPECT_NE(results[0].failure->message.find(
+                  (dir / "wknd.report.json").string()),
+              std::string::npos)
+        << results[0].failure->message;
+    fs::remove_all(dir);
+}
+
 TEST(ExecCampaign, RayStatsSinksByteIdenticalAcrossWorkerCounts)
 {
     namespace fs = std::filesystem;

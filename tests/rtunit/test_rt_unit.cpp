@@ -31,6 +31,24 @@ TEST(RtUnit, EmptyJobRetiresImmediately)
         EXPECT_FALSE(hit.hit());
 }
 
+TEST(RtUnit, StatsAccumulateSumsAndMaxLatency)
+{
+    rtunit::RtUnitStats a;
+    a.node_fetches = 3;
+    a.retired_warps = 2;
+    a.retired_trace_latency = 90;
+    a.max_trace_latency = 60;
+    a.hit_stores = 1;
+    rtunit::RtUnitStats b = a;
+    b.max_trace_latency = 40;
+    a += b;
+    EXPECT_EQ(a.node_fetches, 6u);
+    EXPECT_EQ(a.retired_warps, 4u);
+    EXPECT_EQ(a.retired_trace_latency, 180u);
+    EXPECT_EQ(a.max_trace_latency, 60u);
+    EXPECT_EQ(a.hit_stores, 2u);
+}
+
 TEST(RtUnit, AllRaysMissSceneBoxRetiresWithoutFetch)
 {
     RtHarness h(makeSoup(2, 200), TraceConfig{});

@@ -4,9 +4,11 @@
  */
 
 #include <sstream>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
+#include "../byte_mutator.hpp"
 #include "scene/obj_io.hpp"
 #include "scene/primitives.hpp"
 
@@ -107,6 +109,39 @@ TEST(ObjIo, RoundTripPreservesGeometry)
     }
     EXPECT_EQ(loaded.bounds().lo, original.bounds().lo);
     EXPECT_EQ(loaded.bounds().hi, original.bounds().hi);
+}
+
+TEST(ObjIo, SeededByteMutantsLoadOrThrow)
+{
+    Mesh base;
+    cooprt::scene::addBox(base, Vec3(0, 0, 0), Vec3(1, 2, 3));
+    cooprt::scene::addSphere(base, Vec3(5, 0, 0), 1.5f, 6);
+    std::ostringstream os;
+    saveObj(os, base);
+    // Plus the record forms saveObj never writes.
+    const std::string valid =
+        os.str() + "vn 0 0 1\nvt 0.5 0.5\no part\n"
+                   "f 1/1/1 2/2/2 3/3/3 4/4/4\nf -3 -2 -1\n";
+
+    // Every mutant either loads or throws; the sanitizer builds run
+    // this too, so a crash or UB on malformed input fails here.
+    cooprt::geom::Pcg32 rng(0x0b1ec7);
+    int loaded = 0;
+    int threw = 0;
+    for (int i = 0; i < 2000; ++i) {
+        std::istringstream in(cooprt::testutil::mutate(
+            valid, cooprt::testutil::Mutation(i % cooprt::testutil::kNumMutations), rng));
+        Mesh m;
+        try {
+            const std::size_t added = loadObj(in, m);
+            EXPECT_EQ(added, m.size());
+            ++loaded;
+        } catch (const std::runtime_error &) {
+            ++threw;
+        }
+    }
+    EXPECT_GT(loaded, 0);
+    EXPECT_GT(threw, 0);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for `cooprt::telemetry`: RSS parsing, phase spans,
- * derived throughput gauges, the per-run JSON sink's
+ * the run's sealed totals, the per-run JSON sink's
  * deterministic/host split, the campaign event log and monitor
  * (EWMA/ETA math, Prometheus exposition), the heartbeat thread, and
  * the event log driven by a real `exec::Campaign` with a fake
@@ -92,17 +92,6 @@ TEST(Recorder, FinishRunDerivesThroughput)
     EXPECT_EQ(s.cycles, 10000u);
     EXPECT_EQ(s.rays_retired, 500u);
     EXPECT_DOUBLE_EQ(s.sim_seconds, 2.0);
-    EXPECT_DOUBLE_EQ(s.cycles_per_sec, 5000.0);
-    EXPECT_DOUBLE_EQ(s.rays_per_sec, 250.0);
-}
-
-TEST(Recorder, FinishRunWithoutSimLoopHasZeroGauges)
-{
-    Recorder rec;
-    rec.reset();
-    rec.finishRun(10000, 500);
-    EXPECT_DOUBLE_EQ(rec.summary().cycles_per_sec, 0.0);
-    EXPECT_DOUBLE_EQ(rec.summary().rays_per_sec, 0.0);
 }
 
 TEST(Recorder, ResetClearsEverything)
@@ -135,14 +124,14 @@ TEST(Recorder, WriteJsonSplitsDeterministicFromHost)
     EXPECT_NE(json.find("\"cycles\":12345"), std::string::npos);
     EXPECT_NE(json.find("\"rays_retired\":67"), std::string::npos);
     // Every nondeterministic field sits inside the "host" object:
-    // the deterministic prefix before it must not mention seconds,
-    // throughput or RSS.
+    // the deterministic prefix before it must not mention seconds
+    // or RSS. No derived per-second gauge is written anywhere.
     const auto host = json.find("\"host\"");
     ASSERT_NE(host, std::string::npos);
     const std::string prefix = json.substr(0, host);
     EXPECT_EQ(prefix.find("seconds"), std::string::npos);
     EXPECT_EQ(prefix.find("rss"), std::string::npos);
-    EXPECT_EQ(prefix.find("per_sec"), std::string::npos);
+    EXPECT_EQ(json.find("per_sec"), std::string::npos);
     // The build stamp is part of the deterministic prefix.
     EXPECT_NE(prefix.find("\"build\""), std::string::npos);
     EXPECT_NE(prefix.find("\"revision\""), std::string::npos);

@@ -7,13 +7,6 @@ into one baseline document, and either writes it (--json-out, the
 committed BENCH_PR<N>.json files) or compares the fresh run against a
 committed baseline with per-metric tolerances (--compare).
 
-Besides the figure metrics (simulated, deterministic, hard-gated),
-the baseline carries a host "throughput" bench: cycles_per_sec and
-peak_rss_kb per scene from simulate_cli's telemetry sink. Host timing
-is machine-dependent, so those metrics are marked ``warn_only`` — a
-tolerance breach prints WARN and never fails the gate; the committed
-trajectory still makes simulator-speed drift visible across PRs.
-
 Regression sentinel: a scalar gate can only say *that* fig09
 regressed; with the differential attribution engine (src/diff/,
 DESIGN.md §18) it can also say *where the cycles went*. When a
@@ -108,54 +101,6 @@ def run_bench(build_dir: str, spec: dict, scenes: str | None,
     return rows, wall_seconds
 
 
-# Scenes probed for the host-throughput trajectory (subset filtered
-# by --scenes). Generous tolerances: CI machines vary, and breaches
-# only WARN (warn_only below), never gate.
-THROUGHPUT_SCENES = ["wknd", "bunny", "ship"]
-THROUGHPUT_METRICS = {
-    "cycles_per_sec": {"higher_is_better": True, "tolerance": 0.25,
-                       "warn_only": True},
-    "peak_rss_kb": {"higher_is_better": False, "tolerance": 0.25,
-                    "warn_only": True},
-}
-
-
-def throughput_rows(build_dir: str, scenes: str | None) -> dict | None:
-    """Host sim-throughput + peak RSS per scene via the telemetry
-    sink (``simulate_cli --telemetry-out``); best-of-2 on throughput
-    to damp host noise."""
-    binary = os.path.join(build_dir, "examples", "simulate_cli")
-    if not os.path.exists(binary):
-        print(f"[bench_baseline] {binary} not built; skipping "
-              f"throughput probe", file=sys.stderr)
-        return None
-    wanted = THROUGHPUT_SCENES
-    if scenes:
-        subset = set(scenes.split(","))
-        wanted = [s for s in wanted if s in subset] or wanted[:1]
-    rows = {}
-    for scene in wanted:
-        best = None
-        for _ in range(2):
-            with tempfile.NamedTemporaryFile(
-                    mode="r", suffix=".telemetry.json") as tmp:
-                subprocess.run(
-                    [binary, "--scene", scene, "--shader", "pt",
-                     "--telemetry-out", tmp.name],
-                    check=True, stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL)
-                doc = json.load(open(tmp.name))
-            host = doc["host"]
-            row = {"cycles_per_sec": round(host["cycles_per_sec"]),
-                   "peak_rss_kb": host["rss_peak_kb"],
-                   "sim_seconds": round(host["sim_seconds"], 4)}
-            if best is None or row["cycles_per_sec"] > \
-                    best["cycles_per_sec"]:
-                best = row
-        rows[scene] = best
-    return rows
-
-
 def memscope_overhead(build_dir: str) -> dict | None:
     """Wall-clock cost of attaching the memscope collector.
 
@@ -207,14 +152,6 @@ def collect(build_dir: str, scenes: str | None,
             # simulated cycle counts are jobs-invariant; wall clock is
             # not).
             "wall_seconds": round(wall_seconds, 3),
-        }
-    print("[bench_baseline] probing sim throughput ...",
-          file=sys.stderr)
-    rows = throughput_rows(build_dir, scenes)
-    if rows is not None:
-        benches["throughput"] = {
-            "metrics": THROUGHPUT_METRICS,
-            "rows": rows,
         }
     doc = {"suite_version": 1, "benches": benches}
     print("[bench_baseline] probing memscope overhead ...",
@@ -298,14 +235,8 @@ def compare(baseline: dict, current: dict,
                 worse = -delta if policy["higher_is_better"] else delta
                 status = "ok"
                 if worse > policy["tolerance"]:
-                    # warn_only metrics (host timing/RSS) never fail
-                    # the gate — machines differ; the printed WARN
-                    # keeps the drift visible in CI logs.
-                    if policy.get("warn_only"):
-                        status = "WARN"
-                    else:
-                        status = "REGRESSION"
-                        regressions += 1
+                    status = "REGRESSION"
+                    regressions += 1
                 if status != "ok" or abs(delta) > 1e-12:
                     print(f"{status} {name}/{scene}/{metric}: "
                           f"baseline {base_v} -> {cur_v} "

@@ -215,19 +215,16 @@ def telemetry_cases(doc):
     yield from counter_cases("host.phases.warmup", ("count",))
     yield "seconds without entries", setv("host.phases.sim_loop.count",
                                           0)
-    for f in ("sim_seconds", "cycles_per_sec", "rays_per_sec"):
-        yield f"drop host.{f}", drop(f"host.{f}")
-    yield "negative rays_per_sec", setv("host.rays_per_sec", -1.0)
+    yield "report phase never ran", all_of(
+        setv("host.phases.report.count", 0),
+        setv("host.phases.report.seconds", 0))
+    yield "drop host.sim_seconds", drop("host.sim_seconds")
+    yield "negative sim_seconds", setv("host.sim_seconds", -1.0)
     yield from counter_cases("host", ("rss_current_kb", "rss_peak_kb"))
     yield "rss peak below current", setv("host.rss_peak_kb",
                                          host["rss_current_kb"] - 1)
     yield "sim_seconds vs sim_loop", setv("host.sim_seconds",
                                           host["sim_seconds"] * 2)
-    yield "cycles_per_sec inconsistent", setv(
-        "host.cycles_per_sec", host["cycles_per_sec"] * 2)
-    yield "throughput without sim time", all_of(
-        setv("host.sim_seconds", 0),
-        setv("host.phases.sim_loop.seconds", 0))
 
 
 def telemetry_log_cases(lines):

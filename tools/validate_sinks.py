@@ -200,7 +200,7 @@ TELEMETRY = Shape(
         "build": BUILD,
         "sim": Shape(counters=("cycles", "rays_retired")),
         "host": Shape(
-            numbers=("sim_seconds", "cycles_per_sec", "rays_per_sec"),
+            numbers=("sim_seconds",),
             counters=("rss_current_kb", "rss_peak_kb"),
             objects={"phases": Shape(objects={
                 p: SPAN for p in TELEMETRY_PHASES})}),
@@ -360,25 +360,17 @@ def telemetry_laws(doc: dict) -> str:
     host = doc["host"]
     phases = host["phases"]
     equal(tuple(phases), TELEMETRY_PHASES, "host.phases keys")
+    # A per-run sink closes every phase, report included: it times
+    # the other sinks' emission, once per run.
     for name, span in phases.items():
-        if span["count"] == 0 and span["seconds"] != 0:
-            fail(f"host.phases.{name}: nonzero seconds with zero "
-                 f"entries")
+        if span["count"] == 0:
+            fail(f"host.phases.{name}: phase never ran (count 0)")
     at_most(host["rss_current_kb"], host["rss_peak_kb"],
             "host: rss_current_kb vs rss_peak_kb")
     secs, loop = host["sim_seconds"], phases["sim_loop"]["seconds"]
     if abs(secs - loop) > REL_TOL * max(secs, loop):
         fail(f"host: sim_seconds {secs} != sim_loop span {loop}")
-    cycles, cps = doc["sim"]["cycles"], host["cycles_per_sec"]
-    if secs > 0:
-        want = cycles / secs
-        # cycles_per_sec is printed with 6 significant digits.
-        if abs(cps - want) > max(1.0, REL_TOL * want) * 1e3:
-            fail(f"host: cycles_per_sec {cps} inconsistent with "
-                 f"cycles {cycles} / sim_seconds {secs}")
-    elif cps != 0 or host["rays_per_sec"] != 0:
-        fail("host: nonzero throughput with sim_seconds == 0")
-    return f"{cycles} cycles, derived gauges consistent"
+    return f"{doc['sim']['cycles']} cycles, every phase ran"
 
 
 def telemetry_log_laws(events: list) -> str:
