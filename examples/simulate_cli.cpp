@@ -322,7 +322,7 @@ main(int argc, char **argv)
         // Heartbeat scope: lives exactly as long as the run, reading
         // the recorder's lock-free live gauges from its own thread.
         std::optional<telemetry::Heartbeat> heartbeat;
-        if (heartbeat_s > 0.0 && cfg.telemetry != nullptr)
+        if (heartbeat_s > 0.0)
             heartbeat.emplace(
                 heartbeat_s,
                 [&] {

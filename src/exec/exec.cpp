@@ -118,12 +118,6 @@ Campaign::add(Job job)
     return jobs_.size() - 1;
 }
 
-core::RunOutcome
-runSimJob(const Job &job)
-{
-    return core::simulationFor(job.scene_label).run(job.config);
-}
-
 JobRunner
 Campaign::defaultRunner() const
 {

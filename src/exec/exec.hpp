@@ -250,12 +250,6 @@ std::vector<JobResult> runCampaign(std::vector<Job> jobs,
                                    const CampaignOptions &options = {});
 
 /**
- * The default job body without per-job sinks: resolve the shared
- * prepared simulation for the job's scene and run its config.
- */
-core::RunOutcome runSimJob(const Job &job);
-
-/**
  * Append @p result as one JSON line (the `--json-out` format):
  * `{"tag":...,"ok":true,"outcome":{...}}` on success,
  * `{"tag":...,"ok":false,"attempts":N,"failure":{...}}` otherwise.

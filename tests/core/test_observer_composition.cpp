@@ -13,6 +13,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -36,9 +38,8 @@ class ObserverComposition : public ::testing::TestWithParam<bool>
   protected:
     void SetUp() override { std::filesystem::create_directories(dir_); }
 
-    /** Run wknd@32 with the observers @p sinks imply and write them;
-     *  the returned slots dangle, so only compare them with null. */
-    core::RunConfig
+    /** Run wknd@32 with the observers @p sinks imply and write them. */
+    core::RunOutcome
     run(const core::SinkPaths &sinks) const
     {
         core::RunConfig cfg;
@@ -47,8 +48,9 @@ class ObserverComposition : public ::testing::TestWithParam<bool>
         core::ObserverRequest req;
         req.sinks = sinks;
         core::ObserverSet observers(std::move(req), cfg);
-        observers.writeSinks(core::simulationFor("wknd").run(cfg));
-        return cfg;
+        const core::RunOutcome out = core::simulationFor("wknd").run(cfg);
+        observers.writeSinks(out);
+        return out;
     }
 
     std::string dir_ = ::testing::TempDir() + "observer_composition_" +
@@ -57,31 +59,40 @@ class ObserverComposition : public ::testing::TestWithParam<bool>
 
 TEST_P(ObserverComposition, SinksMatchAloneAndTogether)
 {
-    const std::pair<std::string core::SinkPaths::*, const char *>
-        shared[] = {{&core::SinkPaths::prof_folded, "prof.folded"},
-                    {&core::SinkPaths::prof_json, "prof.json"},
-                    {&core::SinkPaths::raystats, "raystats.json"},
-                    {&core::SinkPaths::memscope_json, "memscope.json"},
-                    {&core::SinkPaths::memscope_folded,
-                     "memscope.folded"}};
+    using Sink = std::pair<std::string core::SinkPaths::*, const char *>;
+    // One alone run per observer, writing all of that observer's sinks.
+    const std::vector<std::vector<Sink>> per_observer = {
+        {{&core::SinkPaths::prof_folded, "prof.folded"},
+         {&core::SinkPaths::prof_json, "prof.json"}},
+        {{&core::SinkPaths::raystats, "raystats.json"}},
+        {{&core::SinkPaths::memscope_json, "memscope.json"},
+         {&core::SinkPaths::memscope_folded, "memscope.folded"}}};
     core::SinkPaths all;
     all.trace = dir_ + "all.trace.json";
     all.metrics = dir_ + "all.metrics.csv";
     all.telemetry = dir_ + "all.telemetry.json";
-    for (const auto &[field, name] : shared) {
+    for (const auto &sinks : per_observer) {
         core::SinkPaths alone;
-        alone.*field = dir_ + "alone." + name;
-        EXPECT_EQ(run(alone).trace_session, nullptr);
-        all.*field = dir_ + "all." + name;
+        for (const auto &[field, name] : sinks) {
+            alone.*field = dir_ + "alone." + name;
+            all.*field = dir_ + "all." + name;
+        }
+        EXPECT_FALSE(run(alone).traceSummary().enabled);
     }
-    const core::RunConfig cfg = run(all);
-    EXPECT_NE(cfg.trace_session, nullptr);
-    EXPECT_NE(cfg.telemetry, nullptr);
-    for (const auto &[field, name] : shared) {
-        const std::string alone = slurp(dir_ + "alone." + name);
-        EXPECT_FALSE(alone.empty()) << name;
-        EXPECT_EQ(slurp(all.*field), alone) << name;
-    }
+    // Every sink path attached an observer that saw the run.
+    const core::RunOutcome out = run(all);
+    EXPECT_GT(out.traceSummary().events_recorded, 0u);
+    EXPECT_GT(out.traceSummary().metric_samples, 0u);
+    EXPECT_TRUE(out.telemetry.enabled);
+    EXPECT_GT(out.gpu.prof_summary.resident_cycles, 0u);
+    EXPECT_GT(out.gpu.ray_summary.stats.rays_sampled, 0u);
+    EXPECT_GT(out.gpu.memscope_summary.node_accesses, 0u);
+    for (const auto &sinks : per_observer)
+        for (const auto &[field, name] : sinks) {
+            const std::string alone = slurp(dir_ + "alone." + name);
+            EXPECT_FALSE(alone.empty()) << name;
+            EXPECT_EQ(slurp(all.*field), alone) << name;
+        }
     // The report phase (the last one) times the other sinks, once.
     const std::string telemetry = slurp(all.telemetry);
     const auto report = telemetry.find("\"report\":{");
