@@ -4,7 +4,8 @@
  * conservation identity (checked every fetch in COOPRT_CHECK builds)
  * must also hold for the final totals in default builds, the RT-unit
  * side must agree with the fetch counters, and the folded node
- * heatmap must match its golden file byte for byte.
+ * heatmap and the JSON export must match their golden files byte
+ * for byte.
  */
 
 #include <gtest/gtest.h>
@@ -91,6 +92,19 @@ TEST(MemscopeIntegration, CollectorIsReusableAcrossRuns)
     EXPECT_EQ(twice.nodeTotals().bytes, first.bytes);
 }
 
+/** Contents of golden file @p name, or "" when it is missing. */
+std::string
+readGolden(const std::string &name)
+{
+    const std::string path =
+        std::string(COOPRT_MEMSCOPE_GOLDEN_DIR) + "/" + name;
+    std::ifstream is(path, std::ios::binary);
+    EXPECT_TRUE(is.good()) << "missing golden file " << path;
+    std::ostringstream want;
+    want << is.rdbuf();
+    return want.str();
+}
+
 TEST(MemscopeIntegration, FoldedHeatmapMatchesGolden)
 {
     memscope::Collector mscope;
@@ -98,15 +112,23 @@ TEST(MemscopeIntegration, FoldedHeatmapMatchesGolden)
                     false);
     std::ostringstream got;
     mscope.writeFolded(got, "wknd");
+    EXPECT_EQ(got.str(), readGolden("wknd_pt32.folded"))
+        << "folded node heatmap drifted from its golden file"
+        << " — re-pin only with an explicit model change";
+}
 
-    const std::string path =
-        std::string(COOPRT_MEMSCOPE_GOLDEN_DIR) + "/wknd_pt32.folded";
-    std::ifstream is(path, std::ios::binary);
-    ASSERT_TRUE(is.good()) << "missing golden file " << path;
-    std::ostringstream want;
-    want << is.rdbuf();
-    EXPECT_EQ(got.str(), want.str())
-        << "folded node heatmap drifted from " << path
+TEST(MemscopeIntegration, JsonMatchesGolden)
+{
+    // The same run as the folded golden, through every JSON section:
+    // node totals, depth rows, hot nodes, reuse, interconnect, DRAM
+    // and the per-SM rows.
+    memscope::Collector mscope;
+    runWithMemscope(mscope, "wknd", 32, core::ShaderKind::PathTracing,
+                    false);
+    std::ostringstream got;
+    mscope.writeJson(got, "wknd");
+    EXPECT_EQ(got.str(), readGolden("wknd_pt32.memscope.json"))
+        << "memscope JSON drifted from its golden file"
         << " — re-pin only with an explicit model change";
 }
 
