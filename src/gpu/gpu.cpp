@@ -83,7 +83,7 @@ Gpu::sampleActivity(std::uint64_t cycle)
     if (mscope_ != nullptr && tracer != nullptr) {
         // Memscope counter tracks: cumulative node-fetch traffic and
         // its serving-level split, sampled on the same boundaries.
-        const memscope::NodeCounters t = mscope_->nodeTotals();
+        const memscope::NodeCounters &t = mscope_->nodeTotals();
         COOPRT_TRACE_COUNTER(tracer, "memscope", "node_bytes",
                              cfg_.num_sms, cycle, double(t.bytes));
         COOPRT_TRACE_COUNTER(tracer, "memscope", "fetches_l1",

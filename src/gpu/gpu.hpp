@@ -142,8 +142,8 @@ class Gpu
     /**
      * Attach a memory & BVH-topology profiler for subsequent run()
      * calls (null = profiling off, the default). Each run resets the
-     * collector, wires one `memscope::UnitScope` per SM and the
-     * cache/DRAM scopes into the memory hierarchy, and tags every
+     * collector, wires one `memscope::UnitScope` per SM, attaches
+     * the collector to the memory hierarchy's fetch path, and tags every
      * node fetch with its node id, tree depth and serving level. When
      * a trace session is also attached, the `memscope.*` probes join
      * the metrics registry and Perfetto gets memscope counter tracks.

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "check/check.hpp"
-#include "memscope/memscope.hpp"
 #include "trace/registry.hpp"
 
 namespace cooprt::mem {
@@ -134,16 +133,16 @@ class Cache
                          const std::string &prefix,
                          const void *owner) const;
 
-    /**
-     * Attach (or detach with nullptr) a reuse-distance profiler. A
-     * borrowed pointer: every access is forwarded to it. Pure
-     * observation — no effect on timing or tag state.
-     */
-    void attachMemscope(memscope::CacheScope *scope)
-    { mscope_ = scope; }
-
     std::uint64_t lineOf(std::uint64_t addr) const
     { return addr / cfg_.line_bytes; }
+
+    /** Set @p line maps to. */
+    std::uint32_t
+    setOf(std::uint64_t line) const
+    {
+        return set_mask_ != kNil ? std::uint32_t(line) & set_mask_
+                                 : std::uint32_t(line % num_sets_);
+    }
 
     /** All-sectors mask for this cache's geometry. */
     std::uint32_t
@@ -192,8 +191,6 @@ class Cache
     {
         stats_.accesses++;
         const std::uint32_t set = setOf(line);
-        if (mscope_ != nullptr)
-            mscope_->touch(line, set);
         if (cfg_.sector_bytes == 0)
             sectors = 1u;
         // Every access touches a resident line to MRU, merge or not.
@@ -315,13 +312,6 @@ class Cache
         return std::uint32_t((line * 0x9e3779b97f4a7c15ull) >> shift);
     }
 
-    std::uint32_t
-    setOf(std::uint64_t line) const
-    {
-        return set_mask_ != kNil ? std::uint32_t(line) & set_mask_
-                                 : std::uint32_t(line % num_sets_);
-    }
-
     /** Slot of resident @p line in @p set, or kNil. */
     std::uint32_t
     findSlot(std::uint32_t set, std::uint64_t line) const
@@ -439,7 +429,6 @@ class Cache
     std::uint32_t mshr_mask_ = 0;
     std::size_t mshr_count_ = 0;
     std::uint64_t last_compact_ = 0;
-    memscope::CacheScope *mscope_ = nullptr; // borrowed, may be null
 
 #if COOPRT_CHECK_ENABLED
     std::string check_label_ = "mem.cache";

@@ -11,8 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "memscope/memscope.hpp"
-
 namespace cooprt::mem {
 
 /** DRAM geometry and timing (in core-clock cycles). */
@@ -64,11 +62,6 @@ class Dram
     const DramConfig &config() const { return cfg_; }
     const DramStats &stats() const { return stats_; }
 
-    /** Attach (or detach with nullptr) a row-locality profiler; a
-     *  borrowed pointer, observation only. */
-    void attachMemscope(memscope::DramScope *scope)
-    { mscope_ = scope; }
-
     /** Channel servicing @p addr. */
     std::uint32_t
     channelOf(std::uint64_t addr) const
@@ -85,8 +78,6 @@ class Dram
     access(std::uint64_t addr, std::uint32_t bytes, std::uint64_t now)
     {
         const std::uint32_t ch = channelOf(addr);
-        if (mscope_ != nullptr)
-            mscope_->onAccess(addr, bytes, ch);
         const std::uint64_t transfer = std::uint64_t(
             double(bytes) / cfg_.bytes_per_cycle + 0.999999);
         const std::uint64_t start =
@@ -113,7 +104,6 @@ class Dram
     DramConfig cfg_;
     DramStats stats_;
     std::vector<std::uint64_t> next_free_;
-    memscope::DramScope *mscope_ = nullptr; // borrowed, may be null
 };
 
 } // namespace cooprt::mem

@@ -89,17 +89,6 @@ MemorySystem::registerMetrics(cooprt::trace::Registry &registry)
                    this);
 }
 
-void
-MemorySystem::attachMemscope(cooprt::memscope::Collector *collector)
-{
-    mscope_ = collector;
-    for (std::size_t i = 0; i < l1_.size(); ++i)
-        l1_[i]->attachMemscope(
-            collector ? &collector->l1Scope(int(i)) : nullptr);
-    l2_.attachMemscope(collector ? &collector->l2Scope() : nullptr);
-    dram_.attachMemscope(collector ? &collector->dram() : nullptr);
-}
-
 std::uint64_t
 MemorySystem::l2Access(std::uint64_t line, std::uint32_t bytes,
                        std::uint64_t now, int &depth_out)
@@ -122,6 +111,7 @@ MemorySystem::l2Access(std::uint64_t line, std::uint32_t bytes,
             t.bank_conflicts++;
             t.bank_wait_cycles += bank_free_[bank] - now;
         }
+        mscope_->l2Scope().touch(line, l2_.setOf(line));
     }
     COOPRT_CHECK_ONLY(const std::uint64_t prev_free =
                           bank_free_[bank];)
@@ -143,9 +133,12 @@ MemorySystem::l2Access(std::uint64_t line, std::uint32_t bytes,
                       [this, &depth_out](std::uint64_t l,
                                          std::uint64_t t) {
                           depth_out = 2;
-                          return dram_.access(
-                              l * cfg_.l2.line_bytes,
-                              cfg_.l2.line_bytes, t);
+                          const std::uint64_t a = l * cfg_.l2.line_bytes;
+                          if (mscope_ != nullptr)
+                              mscope_->dram().onAccess(
+                                  a, cfg_.l2.line_bytes,
+                                  dram_.channelOf(a));
+                          return dram_.access(a, cfg_.l2.line_bytes, t);
                       });
 }
 
@@ -177,6 +170,8 @@ MemorySystem::fetch(int sm, std::uint64_t addr, std::uint32_t bytes,
             l1.sectorMaskOf(lo, std::uint32_t(hi - lo));
         const std::uint64_t merges_before = l1.stats().mshr_merges;
         int line_depth = 0; // serving level of this line (0 = L1 hit)
+        if (mscope_ != nullptr)
+            mscope_->l1Scope(sm).touch(line, l1.setOf(line));
         const std::uint64_t r = l1.access(
             line, mask, now,
             [this, sector, &line_depth](std::uint64_t l,
@@ -204,23 +199,39 @@ MemorySystem::fetch(int sm, std::uint64_t addr, std::uint32_t bytes,
         // Conservation: fetch() is the single choke point every access
         // crosses, so the profiled per-level line counts and byte
         // totals must tie out exactly against the pre-existing
-        // counters after every request.
+        // counters after every request, and each reuse / row-locality
+        // scope fed here must have seen every access of its level.
         const CacheStats l1t = l1StatsTotal();
         const memscope::MemTraffic &t = mscope_->trafficConst();
+        const memscope::DramScope &ds = mscope_->dramConst();
+        std::uint64_t l1_cold = 0, l1_touched = 0;
+        std::array<std::uint64_t, memscope::kReuseBuckets> hist;
+        mscope_->l1ReuseTotals(l1_cold, l1_touched, hist);
+        const std::uint64_t l2_touched =
+            mscope_->l2ScopeConst().accesses();
         COOPRT_AUDIT(
             "mem", "memscope.traffic_conservation", now,
             t.lineTotal() == l1t.accesses &&
                 t.line_level[0] == l1t.hits &&
                 t.l2_fill_bytes == stats_.l2_bytes &&
-                mscope_->dramConst().bytes == dram_.stats().bytes,
+                ds.bytes == dram_.stats().bytes &&
+                l1_touched == l1t.accesses &&
+                l2_touched == l2_.stats().accesses &&
+                ds.requests == dram_.stats().requests,
             "lines " + std::to_string(t.lineTotal()) + "/" +
                 std::to_string(l1t.accesses) + " l1-hit " +
                 std::to_string(t.line_level[0]) + "/" +
                 std::to_string(l1t.hits) + " l2B " +
                 std::to_string(t.l2_fill_bytes) + "/" +
                 std::to_string(stats_.l2_bytes) + " dramB " +
-                std::to_string(mscope_->dramConst().bytes) + "/" +
-                std::to_string(dram_.stats().bytes));
+                std::to_string(ds.bytes) + "/" +
+                std::to_string(dram_.stats().bytes) + " l1-reuse " +
+                std::to_string(l1_touched) + "/" +
+                std::to_string(l1t.accesses) + " l2-reuse " +
+                std::to_string(l2_touched) + "/" +
+                std::to_string(l2_.stats().accesses) + " dram-req " +
+                std::to_string(ds.requests) + "/" +
+                std::to_string(dram_.stats().requests));
     }
 #endif
     return ready;

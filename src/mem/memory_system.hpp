@@ -12,6 +12,7 @@
 
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
+#include "memscope/memscope.hpp"
 
 namespace cooprt::mem {
 
@@ -88,14 +89,15 @@ class MemorySystem
     int lastFetchDepth() const { return last_depth_; }
 
     /**
-     * Attach (or detach with nullptr) a memscope collector: hands the
-     * per-L1 / L2 reuse scopes and the DRAM scope to their owners and
-     * makes fetch() record per-line serving levels, L2 fill bytes and
-     * bank contention into the collector. Observation only; in check
+     * Attach (or detach with nullptr) a memscope collector: fetch()
+     * then touches the per-L1 / L2 reuse scopes, feeds the DRAM scope
+     * and records per-line serving levels, L2 fill bytes and bank
+     * contention into the collector. Observation only; in check
      * builds every fetch re-audits the traffic-conservation identity
      * against the `cache.*` / DRAM counters while attached.
      */
-    void attachMemscope(cooprt::memscope::Collector *collector);
+    void attachMemscope(cooprt::memscope::Collector *collector)
+    { mscope_ = collector; }
 
     const CacheStats &l1Stats(int sm) const { return l1_[sm]->stats(); }
     /** L1 stats aggregated over all SMs. */

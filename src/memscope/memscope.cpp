@@ -55,27 +55,9 @@ void
 UnitScope::record(std::uint32_t node_id, int depth, int level,
                   int lanes, int phase, std::uint32_t fetch_bytes)
 {
-    if (node_id >= nodes.size())
-        nodes.resize(std::size_t(node_id) + 1);
-    if (std::size_t(depth) >= depths.size())
-        depths.resize(std::size_t(depth) + 1);
-
-    NodeCounters &n = nodes[node_id];
-    n.accesses++;
-    n.bytes += fetch_bytes;
-    n.lanes += std::uint64_t(lanes);
-    n.level[std::size_t(level)]++;
-    n.depth = std::uint16_t(depth);
-
-    DepthCounters &d = depths[std::size_t(depth)];
-    d.accesses++;
-    d.bytes += fetch_bytes;
-    d.lanes += std::uint64_t(lanes);
-    d.level[std::size_t(level)]++;
-    d.phase[std::size_t(phase)]++;
-
     accesses++;
     bytes += fetch_bytes;
+    owner_->record(node_id, depth, level, lanes, phase, fetch_bytes);
 }
 
 void
@@ -83,15 +65,6 @@ UnitScope::onFetch(const rtunit::FetchEvent &f, std::uint64_t)
 {
     record(f.node_id, f.depth, int(f.level), std::popcount(f.consumers),
            int(f.phase), f.bytes);
-}
-
-void
-UnitScope::reset()
-{
-    nodes.clear();
-    depths.clear();
-    accesses = 0;
-    bytes = 0;
 }
 
 std::uint64_t
@@ -218,7 +191,7 @@ UnitScope &
 Collector::unit(int sm_id)
 {
     while (int(units_.size()) <= sm_id)
-        units_.push_back(std::make_unique<UnitScope>());
+        units_.push_back(std::make_unique<UnitScope>(*this));
     return *units_[std::size_t(sm_id)];
 }
 
@@ -231,8 +204,36 @@ Collector::l1Scope(int sm_id)
 }
 
 void
+Collector::record(std::uint32_t node_id, int depth, int level,
+                  int lanes, int phase, std::uint32_t fetch_bytes)
+{
+    if (node_id >= nodes_.size())
+        nodes_.resize(std::size_t(node_id) + 1);
+    if (std::size_t(depth) >= depths_.size())
+        depths_.resize(std::size_t(depth) + 1);
+
+    for (NodeCounters *c : {&nodes_[node_id], &totals_}) {
+        c->accesses++;
+        c->bytes += fetch_bytes;
+        c->lanes += std::uint64_t(lanes);
+        c->level[std::size_t(level)]++;
+    }
+    nodes_[node_id].depth = std::uint16_t(depth);
+
+    DepthCounters &d = depths_[std::size_t(depth)];
+    d.accesses++;
+    d.bytes += fetch_bytes;
+    d.lanes += std::uint64_t(lanes);
+    d.level[std::size_t(level)]++;
+    d.phase[std::size_t(phase)]++;
+}
+
+void
 Collector::reset()
 {
+    nodes_.clear();
+    depths_.clear();
+    totals_ = NodeCounters{};
     for (auto &u : units_)
         u->reset();
     for (auto &s : l1_scopes_)
@@ -242,70 +243,14 @@ Collector::reset()
     dram_.reset();
 }
 
-NodeCounters
-Collector::nodeTotals() const
-{
-    NodeCounters t;
-    for (const auto &u : units_) {
-        t.accesses += u->accesses;
-        t.bytes += u->bytes;
-        for (const NodeCounters &n : u->nodes) {
-            t.lanes += n.lanes;
-            for (int l = 0; l < kNumLevels; ++l)
-                t.level[std::size_t(l)] += n.level[std::size_t(l)];
-        }
-    }
-    return t;
-}
-
-std::vector<DepthCounters>
-Collector::depthTotals() const
-{
-    std::vector<DepthCounters> t;
-    for (const auto &u : units_) {
-        if (u->depths.size() > t.size())
-            t.resize(u->depths.size());
-        for (std::size_t d = 0; d < u->depths.size(); ++d) {
-            const DepthCounters &s = u->depths[d];
-            DepthCounters &o = t[d];
-            o.accesses += s.accesses;
-            o.bytes += s.bytes;
-            o.lanes += s.lanes;
-            for (int l = 0; l < kNumLevels; ++l)
-                o.level[std::size_t(l)] += s.level[std::size_t(l)];
-            for (int p = 0; p < kNumPhases; ++p)
-                o.phase[std::size_t(p)] += s.phase[std::size_t(p)];
-        }
-    }
-    return t;
-}
-
 std::vector<HotNode>
 Collector::hotNodes(std::size_t k) const
 {
-    // Merge the per-unit heatmaps into one id-indexed table.
-    std::vector<NodeCounters> merged;
-    for (const auto &u : units_) {
-        if (u->nodes.size() > merged.size())
-            merged.resize(u->nodes.size());
-        for (std::size_t i = 0; i < u->nodes.size(); ++i) {
-            const NodeCounters &n = u->nodes[i];
-            if (n.accesses == 0)
-                continue;
-            NodeCounters &m = merged[i];
-            m.accesses += n.accesses;
-            m.bytes += n.bytes;
-            m.lanes += n.lanes;
-            for (int l = 0; l < kNumLevels; ++l)
-                m.level[std::size_t(l)] += n.level[std::size_t(l)];
-            m.depth = n.depth;
-        }
-    }
     std::vector<HotNode> hot;
-    for (std::size_t i = 0; i < merged.size(); ++i)
-        if (merged[i].accesses != 0)
+    for (std::size_t i = 0; i < nodes_.size(); ++i)
+        if (nodes_[i].accesses != 0)
             hot.push_back(HotNode{std::uint32_t(i),
-                                  int(merged[i].depth), merged[i]});
+                                  int(nodes_[i].depth), nodes_[i]});
     std::sort(hot.begin(), hot.end(),
               [](const HotNode &a, const HotNode &b) {
                   if (a.c.accesses != b.c.accesses)
@@ -338,21 +283,19 @@ Collector::summary() const
 {
     Summary s;
     s.enabled = true;
-    const NodeCounters t = nodeTotals();
-    s.node_accesses = t.accesses;
-    s.node_bytes = t.bytes;
-    s.node_lanes = t.lanes;
-    s.node_level = t.level;
-    const std::vector<DepthCounters> depths = depthTotals();
-    for (std::size_t d = 0; d < depths.size(); ++d) {
-        if (depths[d].accesses == 0)
+    s.node_accesses = totals_.accesses;
+    s.node_bytes = totals_.bytes;
+    s.node_lanes = totals_.lanes;
+    s.node_level = totals_.level;
+    for (std::size_t d = 0; d < depths_.size(); ++d) {
+        if (depths_[d].accesses == 0)
             continue;
         Summary::DepthRow row;
         row.depth = int(d);
-        row.accesses = depths[d].accesses;
-        row.bytes = depths[d].bytes;
-        row.lanes = depths[d].lanes;
-        row.level = depths[d].level;
+        row.accesses = depths_[d].accesses;
+        row.bytes = depths_[d].bytes;
+        row.lanes = depths_[d].lanes;
+        row.level = depths_[d].level;
         s.depths.push_back(row);
     }
     s.traffic = traffic_;
@@ -378,23 +321,18 @@ Collector::registerMetrics(cooprt::trace::Registry &registry)
         registry.probe(p + "node_bytes",
                        [u] { return double(u->bytes); }, this);
     }
+    const NodeCounters *t = &totals_;
     registry.probe("memscope.gpu.node_accesses",
-                   [this] { return double(nodeTotals().accesses); },
-                   this);
+                   [t] { return double(t->accesses); }, this);
     registry.probe("memscope.gpu.node_bytes",
-                   [this] { return double(nodeTotals().bytes); },
-                   this);
+                   [t] { return double(t->bytes); }, this);
     registry.probe("memscope.gpu.lanes",
-                   [this] { return double(nodeTotals().lanes); },
-                   this);
+                   [t] { return double(t->lanes); }, this);
     for (int l = 0; l < kNumLevels; ++l)
-        registry.probe(
-            std::string("memscope.gpu.level_") +
-                kLevelNames[std::size_t(l)],
-            [this, l] {
-                return double(nodeTotals().level[std::size_t(l)]);
-            },
-            this);
+        registry.probe(std::string("memscope.gpu.level_") +
+                           kLevelNames[std::size_t(l)],
+                       [t, l] { return double(t->level[std::size_t(l)]); },
+                       this);
 
     const MemTraffic *mt = &traffic_;
     registry.probe("memscope.mem.line_l1",
@@ -450,7 +388,7 @@ void
 Collector::writeJson(std::ostream &os,
                      const std::string &scene) const
 {
-    const NodeCounters t = nodeTotals();
+    const NodeCounters &t = totals_;
     os << "{\"schema_version\":" << trace::kSchemaVersion;
     if (run_key_.valid())
         os << ",\"run_key\":" << trace::runKeyJson(run_key_);
@@ -465,10 +403,9 @@ Collector::writeJson(std::ostream &os,
            << t.level[std::size_t(l)];
     }
     os << "}},\"depths\":[";
-    const std::vector<DepthCounters> depths = depthTotals();
     bool first = true;
-    for (std::size_t d = 0; d < depths.size(); ++d) {
-        const DepthCounters &row = depths[d];
+    for (std::size_t d = 0; d < depths_.size(); ++d) {
+        const DepthCounters &row = depths_[d];
         if (row.accesses == 0)
             continue;
         if (!first)
@@ -534,32 +471,21 @@ void
 Collector::writeFolded(std::ostream &os,
                        const std::string &scene) const
 {
-    // Aggregate over SMs, then emit in (depth, node id) order so the
-    // file is byte-identical however many workers produced the data.
-    std::vector<NodeCounters> merged;
-    for (const auto &u : units_) {
-        if (u->nodes.size() > merged.size())
-            merged.resize(u->nodes.size());
-        for (std::size_t i = 0; i < u->nodes.size(); ++i) {
-            if (u->nodes[i].accesses == 0)
-                continue;
-            merged[i].accesses += u->nodes[i].accesses;
-            merged[i].depth = u->nodes[i].depth;
-        }
-    }
+    // Emit in (depth, node id) order so the file is byte-identical
+    // however many workers produced the data.
     std::vector<std::uint32_t> ids;
-    for (std::size_t i = 0; i < merged.size(); ++i)
-        if (merged[i].accesses != 0)
+    for (std::size_t i = 0; i < nodes_.size(); ++i)
+        if (nodes_[i].accesses != 0)
             ids.push_back(std::uint32_t(i));
     std::sort(ids.begin(), ids.end(),
               [&](std::uint32_t a, std::uint32_t b) {
-                  if (merged[a].depth != merged[b].depth)
-                      return merged[a].depth < merged[b].depth;
+                  if (nodes_[a].depth != nodes_[b].depth)
+                      return nodes_[a].depth < nodes_[b].depth;
                   return a < b;
               });
     for (const std::uint32_t id : ids)
-        os << scene << ";depth" << merged[id].depth << ";node" << id
-           << ' ' << merged[id].accesses << '\n';
+        os << scene << ";depth" << nodes_[id].depth << ";node" << id
+           << ' ' << nodes_[id].accesses << '\n';
 }
 
 void

@@ -92,23 +92,26 @@ struct DepthCounters
     std::array<std::uint64_t, kNumPhases> phase{};
 };
 
+class Collector;
+
 /**
- * Per-RT-unit accumulation, fed by the unit's fetch events (it is
- * an `rtunit::RtObserver`). Node ids index `nodes` directly (they are
- * dense per FlatBvh); addresses are stable for the lifetime of the
- * owning Collector.
+ * One RT unit's observer, fed by the unit's fetch events (it is an
+ * `rtunit::RtObserver`). Each fetch lands in the owning Collector's
+ * GPU-wide node and depth tables; the scope itself keeps only this
+ * SM's fetch and byte counts. Addresses are stable for the lifetime
+ * of the owning Collector.
  */
 struct UnitScope : rtunit::RtObserver
 {
-    std::vector<NodeCounters> nodes;   ///< indexed by stable node id
-    std::vector<DepthCounters> depths; ///< indexed by tree depth
+    explicit UnitScope(Collector &owner) : owner_(&owner) {}
+
     std::uint64_t accesses = 0;
     std::uint64_t bytes = 0;
 
     /** Tag one coalesced node fetch. */
     void record(std::uint32_t node_id, int depth, int level,
                 int lanes, int phase, std::uint32_t bytes);
-    void reset();
+    void reset() { accesses = bytes = 0; }
 
     /** Every fetch, tagged; none of the per-lane events. */
     bool wantsFetchTopology() const override { return true; }
@@ -116,12 +119,16 @@ struct UnitScope : rtunit::RtObserver
     /** Tag the fetch: node id, depth, serving level, consumer lanes
         (the per-depth divergence axis) and traversal phase. */
     void onFetch(const rtunit::FetchEvent &f, std::uint64_t) override;
+
+  private:
+    Collector *owner_;
 };
 
 /**
  * Reuse-distance (Mattson LRU stack) and set-contention profiler for
  * one cache instance. `touch()` is O(log n) via a Fenwick tree over
- * access positions; attach through `mem::Cache::attachMemscope`.
+ * access positions; `mem::MemorySystem` touches it once per access
+ * to the cache it profiles.
  */
 class CacheScope
 {
@@ -188,9 +195,9 @@ struct MemTraffic
 };
 
 /**
- * DRAM row-locality profiler; attach through `Dram::attachMemscope`.
- * A request is a row hit when it lands in the same row of its
- * channel as the previous request to that channel.
+ * DRAM row-locality profiler, fed by `mem::MemorySystem` once per
+ * DRAM request. A request is a row hit when it lands in the same row
+ * of its channel as the previous request to that channel.
  */
 struct DramScope
 {
@@ -264,10 +271,12 @@ struct Summary
 };
 
 /**
- * The GPU-wide collector: one UnitScope per SM's RT unit, one
- * CacheScope per L1 (plus one for the L2), the interconnect and DRAM
- * scopes — stable addresses, hierarchical export. Attach through
- * `core::RunConfig::memscope`; each run resets collected data.
+ * The GPU-wide collector: the one node table and depth table with
+ * their running totals, one UnitScope per SM's RT unit feeding them,
+ * one CacheScope per L1 (plus one for the L2), the interconnect and
+ * DRAM scopes — stable addresses, hierarchical export. Attach
+ * through `core::RunConfig::memscope`; each run resets collected
+ * data.
  */
 class Collector
 {
@@ -296,10 +305,11 @@ class Collector
     /** Zero all collected data, keeping addresses stable. */
     void reset();
 
-    /** GPU-level node-heatmap totals (sum over units). */
-    NodeCounters nodeTotals() const;
+    /** GPU-level node-heatmap totals, kept running per fetch. */
+    const NodeCounters &nodeTotals() const { return totals_; }
     /** GPU-level per-depth rows, indexed by depth. */
-    std::vector<DepthCounters> depthTotals() const;
+    const std::vector<DepthCounters> &depthTotals() const
+    { return depths_; }
     /** GPU-level top-@p k hottest nodes (by accesses, id ties). */
     std::vector<HotNode> hotNodes(std::size_t k) const;
     /** L1 reuse histogram aggregated over SMs. */
@@ -345,6 +355,14 @@ class Collector
     { return run_key_; }
 
   private:
+    friend struct UnitScope;
+    /** Add one fetch to the node/depth tables and the totals. */
+    void record(std::uint32_t node_id, int depth, int level,
+                int lanes, int phase, std::uint32_t bytes);
+
+    std::vector<NodeCounters> nodes_;   ///< indexed by stable node id
+    std::vector<DepthCounters> depths_; ///< indexed by tree depth
+    NodeCounters totals_;               ///< sums over nodes_
     std::vector<std::unique_ptr<UnitScope>> units_;
     std::vector<std::unique_ptr<CacheScope>> l1_scopes_;
     CacheScope l2_scope_;

@@ -18,7 +18,10 @@ using namespace cooprt;
 
 TEST(MemscopeCollector, UnitScopeAccumulatesNodeAndDepthRows)
 {
-    memscope::UnitScope unit;
+    // A unit keeps only its own counts; the rows land in the
+    // collector's GPU-wide node and depth tables.
+    memscope::Collector c;
+    memscope::UnitScope &unit = c.unit(0);
     unit.record(/*node_id=*/5, /*depth=*/3, /*level=*/1, /*lanes=*/4,
                 /*phase=*/1, /*bytes=*/128);
     unit.record(5, 3, 0, 2, 1, 128);
@@ -26,18 +29,21 @@ TEST(MemscopeCollector, UnitScopeAccumulatesNodeAndDepthRows)
 
     EXPECT_EQ(unit.accesses, 3u);
     EXPECT_EQ(unit.bytes, 320u);
-    ASSERT_GE(unit.nodes.size(), 6u);
-    EXPECT_EQ(unit.nodes[5].accesses, 2u);
-    EXPECT_EQ(unit.nodes[5].bytes, 256u);
-    EXPECT_EQ(unit.nodes[5].lanes, 6u);
-    EXPECT_EQ(unit.nodes[5].depth, 3u);
-    EXPECT_EQ(unit.nodes[5].level[0], 1u);
-    EXPECT_EQ(unit.nodes[5].level[1], 1u);
-    ASSERT_GE(unit.depths.size(), 4u);
-    EXPECT_EQ(unit.depths[3].accesses, 2u);
-    EXPECT_EQ(unit.depths[3].phase[1], 2u);
-    EXPECT_EQ(unit.depths[1].level[2], 1u);
-    EXPECT_EQ(unit.depths[1].lanes, 32u);
+    const auto hot = c.hotNodes(8); // every touched node row
+    ASSERT_EQ(hot.size(), 2u);
+    ASSERT_EQ(hot[0].node, 5u);
+    EXPECT_EQ(hot[0].c.accesses, 2u);
+    EXPECT_EQ(hot[0].c.bytes, 256u);
+    EXPECT_EQ(hot[0].c.lanes, 6u);
+    EXPECT_EQ(hot[0].c.depth, 3u);
+    EXPECT_EQ(hot[0].c.level[0], 1u);
+    EXPECT_EQ(hot[0].c.level[1], 1u);
+    const auto &depths = c.depthTotals();
+    ASSERT_GE(depths.size(), 4u);
+    EXPECT_EQ(depths[3].accesses, 2u);
+    EXPECT_EQ(depths[3].phase[1], 2u);
+    EXPECT_EQ(depths[1].level[2], 1u);
+    EXPECT_EQ(depths[1].lanes, 32u);
 }
 
 /** Two SMs touching overlapping nodes, for the roll-up tests. */
