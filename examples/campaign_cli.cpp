@@ -371,6 +371,14 @@ main(int argc, char **argv)
                      "run's --report-dir)\n";
         return 2;
     }
+    // A sink directory that cannot be created is a usage error too,
+    // caught here before any job starts.
+    if (const std::string err = exec::createSinkDirs(copt);
+        !err.empty()) {
+        std::cerr << "error: cannot create sink directory " << err
+                  << "\n";
+        return 2;
+    }
 
     // Query shaders only run on query scenes, so when the scene axis
     // was left at its default (or given as "all"), resolve it to the

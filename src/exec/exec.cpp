@@ -6,6 +6,8 @@
 #include <map>
 #include <mutex>
 #include <ostream>
+#include <stdexcept>
+#include <system_error>
 #include <thread>
 
 #include "check/check.hpp"
@@ -153,6 +155,21 @@ Campaign::defaultRunner() const
     };
 }
 
+std::string
+createSinkDirs(const CampaignOptions &options)
+{
+    for (const std::string *dir :
+         {&options.metrics_dir, &options.profile_dir,
+          &options.raytrace_dir, &options.memscope_dir,
+          &options.telemetry_dir, &options.report_dir}) {
+        std::error_code ec;
+        if (!dir->empty() &&
+            !std::filesystem::create_directories(*dir, ec) && ec)
+            return *dir + ": " + ec.message();
+    }
+    return {};
+}
+
 std::vector<JobResult>
 Campaign::run()
 {
@@ -172,12 +189,8 @@ Campaign::run()
     // starts: ObserverSet opens plain paths, and doing this once
     // here (rather than per job) keeps workers free of filesystem
     // races on a shared parent.
-    for (const std::string *dir :
-         {&options_.metrics_dir, &options_.profile_dir,
-          &options_.raytrace_dir, &options_.memscope_dir,
-          &options_.telemetry_dir, &options_.report_dir})
-        if (!dir->empty())
-            std::filesystem::create_directories(*dir);
+    if (const std::string err = createSinkDirs(options_); !err.empty())
+        throw std::runtime_error("cannot create sink directory " + err);
 
     telemetry::EventLog *events = options_.event_log;
     telemetry::CampaignMonitor *monitor = options_.monitor;

@@ -245,6 +245,15 @@ class Campaign
     double wall_seconds_ = 0.0;
 };
 
+/**
+ * Create every non-empty `*_dir` sink directory of @p options (the
+ * parents too). Returns "" on success, else "<dir>: <reason>" for
+ * the first directory that cannot be created. `Campaign::run` calls
+ * it and throws `std::runtime_error` on failure; front ends call it
+ * first to reject a bad path before any job starts.
+ */
+std::string createSinkDirs(const CampaignOptions &options);
+
 /** One-shot convenience over `Campaign`. */
 std::vector<JobResult> runCampaign(std::vector<Job> jobs,
                                    const CampaignOptions &options = {});

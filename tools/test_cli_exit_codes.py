@@ -164,6 +164,18 @@ def main(argv: list[str]) -> int:
                 os.path.join(tmp, "d.ndjson")], 2,
                "not a directory")
 
+        # A sink directory under a regular file cannot be created:
+        # a usage error naming the directory, before any job runs.
+        blocker = os.path.join(tmp, "regular-file")
+        with open(blocker, "w") as f:
+            f.write("not a directory\n")
+        bad_dir = os.path.join(blocker, "sub")
+        for flag in ("--metrics-dir", "--profile-dir", "--ray-dir",
+                     "--memscope-dir", "--telemetry-dir",
+                     "--report-dir"):
+            expect([campaign, "--scenes", "wknd", "--configs", "base",
+                    "--resolution", "8", flag, bad_dir], 2, bad_dir)
+
     if FAILURES:
         print("test_cli_exit_codes: FAIL")
         for f in FAILURES:
