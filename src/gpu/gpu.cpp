@@ -25,6 +25,9 @@ Gpu::Gpu(const bvh::FlatBvh &bvh, const scene::Mesh &mesh,
     if (cfg_.num_sms != cfg_.mem.num_sms)
         throw std::invalid_argument(
             "GpuConfig.num_sms must match mem.num_sms");
+    if (cfg_.sample_interval == 0)
+        throw std::invalid_argument(
+            "GpuConfig.sample_interval must be > 0");
 }
 
 Gpu::~Gpu()

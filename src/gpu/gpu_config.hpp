@@ -40,7 +40,8 @@ struct GpuConfig
     std::uint32_t sfu_latency = 8;
     std::uint32_t mem_latency = 30;
 
-    /** Activity sampling interval (paper: 500 cycles). */
+    /** Activity sampling interval (paper: 500 cycles); must be > 0,
+     *  the Gpu constructor rejects 0. */
     std::uint64_t sample_interval = 500;
 
     /**

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "bvh/traversal.hpp"
+#include "gpu/gpu.hpp"
 #include "gpu/gpu_config.hpp"
 
 namespace {
@@ -88,6 +92,20 @@ TEST(GpuConfigTable1, SampleIntervalMatchesAerialVision)
 {
     // Paper Section 7.1: stats collected every 500 GPU cycles.
     EXPECT_EQ(GpuConfig().sample_interval, 500u);
+}
+
+TEST(GpuConfig, ZeroSampleIntervalThrows)
+{
+    // A zero interval never moves the sampling boundary past the
+    // cycle, so a run would spin forever; the Gpu refuses it.
+    using namespace cooprt;
+    scene::Mesh mesh;
+    mesh.addTriangle({geom::Vec3(0), geom::Vec3(1, 0, 0),
+                      geom::Vec3(0, 1, 0)});
+    const bvh::FlatBvh flat(bvh::buildWideBvh(mesh));
+    GpuConfig c;
+    c.sample_interval = 0;
+    EXPECT_THROW(gpu::Gpu(flat, mesh, c), std::invalid_argument);
 }
 
 } // namespace
