@@ -23,10 +23,10 @@ matches the baseline exactly; the 5% tolerance only gives headroom to
 intentional model changes, which must re-pin the baseline explicitly:
 
     # capture (from the repo root, after building the bench targets)
-    python3 tools/bench_baseline.py --build-dir build --json-out BENCH_PR3.json
+    python3 tools/bench_baseline.py --build-dir build --json-out BENCH_PR10.json
 
     # gate (CI): exit 1 on any >5% regression in a tracked metric
-    python3 tools/bench_baseline.py --build-dir build --compare BENCH_PR3.json
+    python3 tools/bench_baseline.py --build-dir build --compare BENCH_PR10.json
 """
 
 from __future__ import annotations
