@@ -163,8 +163,9 @@ createSinkDirs(const CampaignOptions &options)
           &options.raytrace_dir, &options.memscope_dir,
           &options.telemetry_dir, &options.report_dir}) {
         std::error_code ec;
-        if (!dir->empty() &&
-            !std::filesystem::create_directories(*dir, ec) && ec)
+        if (!dir->empty())
+            std::filesystem::create_directories(*dir, ec);
+        if (ec)
             return *dir + ": " + ec.message();
     }
     return {};
