@@ -149,6 +149,29 @@ TEST(ProfIntegration, FoldedExportMatchesGoldenFile)
     EXPECT_EQ(got.str(), want.str());
 }
 
+TEST(ProfIntegration, CoopFoldedExportMatchesGolden)
+{
+    // The CoopRT counterpart: pins the LBU buckets and the
+    // stack_bound bucket (ready lanes whose TOS entries are all
+    // stale), which the baseline golden never reaches. Regenerate
+    // with:
+    //   simulate_cli --scene wknd --coop --resolution 32 --profile
+    //     --profile-out tests/prof/golden/wknd32_pt_coop.folded
+    prof::Profiler profiler;
+    const auto out = runProfiled(profiler, "wknd", 32, true);
+    std::ostringstream got;
+    profiler.writeFolded(got, out.scene);
+
+    const std::string path = std::string(COOPRT_PROF_GOLDEN_DIR) +
+                             "/wknd32_pt_coop.folded";
+    std::ifstream gf(path);
+    ASSERT_TRUE(gf) << "missing golden file " << path;
+    std::stringstream want;
+    want << gf.rdbuf();
+    EXPECT_EQ(got.str(), want.str());
+    EXPECT_NE(got.str().find(";rtunit;stack_bound "), std::string::npos);
+}
+
 TEST(ProfIntegration, FoldedLinesAreWellFormed)
 {
     prof::Profiler profiler;
