@@ -149,14 +149,22 @@ BM_MemFetch(benchmark::State &state)
 }
 BENCHMARK(BM_MemFetch);
 
+/**
+ * One 8-ray warp traced to retirement. Args: coop (LBU on), bfs
+ * (queue order instead of DFS stacks), any_hit (the first hit makes
+ * the ray's whole stack stale at once, so pop-time elimination
+ * drains it).
+ */
 void
 BM_RtUnitFullTrace(benchmark::State &state)
 {
-    const bool coop = state.range(0) != 0;
     scene::Mesh m = soup(20000);
     bvh::FlatBvh flat(bvh::buildWideBvh(m));
     rtunit::TraceConfig cfg;
-    cfg.coop = coop;
+    cfg.coop = state.range(0) != 0;
+    if (state.range(1) != 0)
+        cfg.order = rtunit::TraversalOrder::Bfs;
+    const bool any_hit = state.range(2) != 0;
     geom::Pcg32 rng(5);
 
     for (auto _ : state) {
@@ -164,6 +172,7 @@ BM_RtUnitFullTrace(benchmark::State &state)
                             [](std::uint64_t, std::uint32_t,
                                std::uint64_t now) { return now + 300; });
         rtunit::TraceJob job;
+        job.any_hit = any_hit;
         for (int t = 0; t < 8; ++t)
             job.rays[std::size_t(t)] =
                 geom::Ray(rng.nextInBox(geom::Vec3(-15), geom::Vec3(15)),
@@ -184,7 +193,12 @@ BM_RtUnitFullTrace(benchmark::State &state)
         benchmark::DoNotOptimize(now);
     }
 }
-BENCHMARK(BM_RtUnitFullTrace)->Arg(0)->Arg(1);
+BENCHMARK(BM_RtUnitFullTrace)
+    ->ArgNames({"coop", "bfs", "any_hit"})
+    ->Args({0, 0, 0})
+    ->Args({1, 0, 0})
+    ->Args({1, 1, 0})
+    ->Args({1, 0, 1});
 
 } // namespace
 

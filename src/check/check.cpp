@@ -90,6 +90,7 @@ mutationName(Mutation m)
           return "MemscopeMisattribution";
       case Mutation::StaleLaneMask: return "StaleLaneMask";
       case Mutation::StaleLineIndex: return "StaleLineIndex";
+      case Mutation::StaleTosMask: return "StaleTosMask";
     }
     return "Unknown";
 }
@@ -105,6 +106,7 @@ allMutations()
         Mutation::MetricsCycleRepeat,    Mutation::ProfMisattribution,
         Mutation::RayProvenanceDrop,    Mutation::MemscopeMisattribution,
         Mutation::StaleLaneMask,         Mutation::StaleLineIndex,
+        Mutation::StaleTosMask,
     };
     return all;
 }

@@ -158,6 +158,8 @@ enum class Mutation
     StaleLaneMask,
     /** Cache eviction leaves the victim's line in the tag index. */
     StaleLineIndex,
+    /** A min_thit write leaves the owner's stale-TOS bits behind. */
+    StaleTosMask,
 };
 
 /** Stable name of @p m ("DoubleConsumeResponse", ...). */

@@ -188,6 +188,7 @@ RtUnit::predictorSeed(WarpEntry &w, int tid)
     rec.normal = mesh_.tri(prim).shadingNormal(th.ray.dir);
     if (w.any_hit)
         w.min_thit[std::size_t(tid)] = 0.0f; // done immediately
+    refreshStale(w, tid);
 }
 
 void
@@ -322,13 +323,32 @@ take(Stack &stack, bool back)
     return e;
 }
 
+bool
+RtUnit::staleTos(const WarpEntry &w, const ThreadState &t) const
+{
+    // Written as "not fresh" so a NaN entry distance counts as stale.
+    const StackEntry &top = peekWork(t);
+    return !(top.entry_t < searchLimit(w, top.main));
+}
+
 void
-RtUnit::syncLane(WarpEntry &w, int tid)
+RtUnit::syncLane(WarpEntry &w, int tid) const
 {
     const std::uint32_t bit = 1u << tid;
-    const std::size_t n = w.th[std::size_t(tid)].stack.size();
+    const ThreadState &t = w.th[std::size_t(tid)];
+    const std::size_t n = t.stack.size();
     w.work = n > 0 ? w.work | bit : w.work & ~bit;
     w.deep = n > 1 ? w.deep | bit : w.deep & ~bit;
+    w.stale = n > 0 && staleTos(w, t) ? w.stale | bit : w.stale & ~bit;
+}
+
+void
+RtUnit::refreshStale(WarpEntry &w, int main) const
+{
+    const std::uint32_t scope =
+        cfg_.coop ? subwarp(main / cfg_.subwarp_size) : 1u << main;
+    for (std::uint32_t m = w.work & scope; m != 0; m &= m - 1)
+        syncLane(w, std::countr_zero(m));
 }
 
 RtUnit::StackEntry
@@ -386,11 +406,8 @@ void
 RtUnit::dropStaleWork(int slot, WarpEntry &w, int tid,
                       std::uint64_t now)
 {
-    const ThreadState &t = w.th[std::size_t(tid)];
-    while (!t.stack.empty()) {
-        const StackEntry &top = peekWork(t);
-        if (top.entry_t < searchLimit(w, top.main))
-            break;
+    // Each pop re-derives the lane's stale bit from its new TOS.
+    while (((w.stale >> tid) & 1u) != 0) {
         const StackEntry dropped = popWork(w, tid);
         stats_.stale_pops++;
         notify(w.watchers, [&](RtObserver &o) {
@@ -422,7 +439,9 @@ RtUnit::tryIssue(std::uint64_t now)
             const WarpEntry &wb = warps_[std::size_t(b)];
             if (wa.valid != wb.valid)
                 return wa.valid;
-            return wa.issue_cycle < wb.issue_cycle;
+            if (wa.issue_cycle != wb.issue_cycle)
+                return wa.issue_cycle < wb.issue_cycle;
+            return a < b; // equal age: slot order, for any n
         });
         if (cfg_.sched == WarpSchedPolicy::GreedyThenOldest &&
             warps_[std::size_t(rr_next_ % n)].valid) {
@@ -442,9 +461,9 @@ RtUnit::tryIssue(std::uint64_t now)
         if (!w.valid)
             continue;
 
-        // Pop-time elimination (paper Section 6.1) on every lane with
-        // work; the lowest ready lane then selects the address.
-        for (std::uint32_t m = w.work; m != 0; m &= m - 1)
+        // Pop-time elimination (paper Section 6.1) on the lanes whose
+        // TOS is stale; the lowest ready lane then selects the address.
+        for (std::uint32_t m = w.stale; m != 0; m &= m - 1)
             dropStaleWork(slot, w, std::countr_zero(m), now);
         const std::uint32_t ready = w.ready();
         if (ready == 0) {
@@ -610,6 +629,7 @@ RtUnit::processNode(int slot, WarpEntry &w, int tid, NodeRef ref,
 
     if (ref.isLeaf()) {
         std::uint32_t tested = 0;
+        bool hit = false;
         for (std::uint32_t k = 0; k < ref.primCount(); ++k) {
             const std::uint32_t prim = bvh_.primAt(ref.firstSlot() + k);
             stats_.tri_tests++;
@@ -623,6 +643,7 @@ RtUnit::processNode(int slot, WarpEntry &w, int tid, NodeRef ref,
             if (thit != kNoHit) {
                 // Paper Section 5.3: helpers update the *main*
                 // thread's min_thit register.
+                hit = true;
                 w.min_thit[std::size_t(main)] = thit;
                 geom::HitRecord &rec = w.hit[std::size_t(main)];
                 rec.thit = thit;
@@ -644,6 +665,10 @@ RtUnit::processNode(int slot, WarpEntry &w, int tid, NodeRef ref,
                 }
             }
         }
+        // Seeded bug: a min_thit write leaves the owner's stale bits
+        // behind, so a TOS it made stale escapes pop-time elimination.
+        if (hit && !COOPRT_MUTATE(StaleTosMask))
+            refreshStale(w, main);
         notify(w.watchers, [&](RtObserver &o) {
             o.onLeafTests(slot, tid, main, tested, now);
         });
@@ -858,13 +883,7 @@ RtUnit::attributeCycles(std::uint64_t now, bool end_of_tick)
         v.any_stack_work = w.work != 0;
         v.has_ready = ready != 0;
         v.has_idle_lane = ~w.busy() != 0;
-        bool fresh_ready = false;
-        for (std::uint32_t m = ready; m != 0 && !fresh_ready; m &= m - 1) {
-            const StackEntry &top =
-                peekWork(w.th[std::size_t(std::countr_zero(m))]);
-            fresh_ready = top.entry_t < searchLimit(w, top.main);
-        }
-        v.ready_all_stale = v.has_ready && !fresh_ready;
+        v.ready_all_stale = v.has_ready && (ready & ~w.stale) == 0;
         if (cfg_.coop && !v.has_ready) {
             // LBU-only progress: a helper/main pair in some subwarp
             // (exactly the runLbu selection criteria).
@@ -1019,21 +1038,30 @@ RtUnit::auditInvariants(std::uint64_t now) const
                          " != consumer union " +
                          std::to_string(consumers[i]));
 
-        // The stack bits against the stacks themselves.
+        // The stack bits against the stacks themselves, and the stale
+        // bits against each TOS and its owner's search limit.
         std::uint32_t work = 0;
         std::uint32_t deep = 0;
+        std::uint32_t stale = 0;
         for (int t = 0; t < kWarpSize; ++t) {
-            const std::size_t depth = w.th[std::size_t(t)].stack.size();
+            const ThreadState &th = w.th[std::size_t(t)];
+            const std::size_t depth = th.stack.size();
             work |= std::uint32_t(depth > 0) << t;
             deep |= std::uint32_t(depth > 1) << t;
+            if (depth > 0)
+                stale |= std::uint32_t(staleTos(w, th)) << t;
         }
         COOPRT_AUDIT(check_label_, "rtunit.lane_masks_consistent", now,
-                     w.work == work && w.deep == deep,
-                     "slot " + std::to_string(i) + " work/deep masks " +
+                     w.work == work && w.deep == deep &&
+                         w.stale == stale,
+                     "slot " + std::to_string(i) +
+                         " work/deep/stale masks " +
                          std::to_string(w.work) + "/" +
-                         std::to_string(w.deep) + " but stacks give " +
+                         std::to_string(w.deep) + "/" +
+                         std::to_string(w.stale) + " but stacks give " +
                          std::to_string(work) + "/" +
-                         std::to_string(deep));
+                         std::to_string(deep) + "/" +
+                         std::to_string(stale));
 
         for (int t = 0; t < kWarpSize; ++t) {
             const ThreadState &th = w.th[std::size_t(t)];

@@ -253,10 +253,13 @@ class RtUnit
     };
 
     /**
-     * One warp-buffer entry. Lane state lives in four 32-bit masks
+     * One warp-buffer entry. Lane state lives in five 32-bit masks
      * (bit t = thread t), the status bits behind the LBU's priority
      * encoders (Fig. 8); only the stack helpers write `work` and
-     * `deep`, only issue and consume write `pending`.
+     * `deep`, only issue and consume write `pending`. `stale` is
+     * re-derived by syncLane after every push, pop and steal, and by
+     * refreshStale after every `min_thit` write (predictorSeed and
+     * processNode's leaf loop), so pop-time elimination never scans.
      */
     struct WarpEntry
     {
@@ -270,6 +273,9 @@ class RtUnit
         std::uint32_t pending = 0; ///< node fetch in flight
         std::uint32_t work = 0;    ///< stack non-empty
         std::uint32_t deep = 0;    ///< stack holds >= 2 entries
+        /** Stack non-empty and its TOS has entry_t >= the search
+         *  limit of the TOS's ray owner (searchLimit). */
+        std::uint32_t stale = 0;
         int outstanding = 0;    ///< in-flight responses
         std::uint64_t issue_cycle = 0;
         RetireFn on_retire;
@@ -336,8 +342,17 @@ class RtUnit
     /** Steal-side pop (honours steal_from_bottom). */
     StackEntry popSteal(WarpEntry &w, int tid) const;
     void pushWork(WarpEntry &w, int tid, const StackEntry &e);
-    /** Re-derive lane @p tid's work/deep bits from its stack size. */
-    static void syncLane(WarpEntry &w, int tid);
+    /** Re-derive lane @p tid's work/deep bits from its stack size
+     *  and its stale bit from its TOS. */
+    void syncLane(WarpEntry &w, int tid) const;
+    /** True when @p t's TOS is stale; @p t's stack must be non-empty. */
+    bool staleTos(const WarpEntry &w, const ThreadState &t) const;
+    /**
+     * Re-derive the stale bits after a write to `min_thit[main]`: of
+     * the work lanes that may hold ray @p main's entries (its subwarp
+     * under CoopRT, else its own lane; rtunit.stack_owner_scope).
+     */
+    void refreshStale(WarpEntry &w, int main) const;
     /** The Fig. 4 busy / waiting / inactive split of @p w's lanes. */
     static ThreadStatusCounts laneStatus(const WarpEntry &w);
 

@@ -126,6 +126,24 @@ TEST_F(MutationTest, StaleLaneMask)
                  [&] { runBusyWarp(coop, 1); });
 }
 
+TEST_F(MutationTest, StaleTosMask)
+{
+    // Any-hit: the first leaf hit collapses the ray's search limit
+    // to zero, so every entry left on its stack is stale at once and
+    // the skipped refresh leaves that TOS unflagged. The leaf consume
+    // is the tick's last stack change, and in the baseline no other
+    // lane holds the ray's entries, so the bit stays wrong until the
+    // end-of-tick audit.
+    expectCaught(check::Mutation::StaleTosMask,
+                 "rtunit.lane_masks_consistent", [] {
+                     rtunit::TraceJob job = testutil::frontalJob(1);
+                     job.any_hit = true;
+                     RtHarness h(testutil::makeSoup(8, 2000),
+                                 TraceConfig{});
+                     h.runOne(job);
+                 });
+}
+
 TEST_F(MutationTest, LostWarp)
 {
     expectCaught(check::Mutation::LostWarp, "sm.warp_conservation",
@@ -246,7 +264,7 @@ TEST_F(MutationTest, CatalogueFullyExercised)
 {
     // One TEST_F above per entry; this guards against a new Mutation
     // being added without a matching detection test.
-    EXPECT_EQ(check::allMutations().size(), 14u)
+    EXPECT_EQ(check::allMutations().size(), 15u)
         << "new mutation added: write its detection test and update "
            "this count";
 }

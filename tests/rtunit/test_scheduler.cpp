@@ -5,6 +5,8 @@
  * the timing differs by policy.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "rtunit_test_util.hpp"
@@ -128,6 +130,42 @@ TEST(SchedPolicy, PoliciesProduceDifferentTimings)
     const auto [mn, mx] =
         std::minmax_element(latency.begin(), latency.end());
     EXPECT_LT(*mx, *mn * 3);
+}
+
+/** Logs the slot of every fetch the RT unit issues. */
+struct FetchSlotLog : rtunit::RtObserver
+{
+    std::vector<int> slots;
+    void
+    onFetch(const rtunit::FetchEvent &f, std::uint64_t) override
+    {
+        slots.push_back(f.slot);
+    }
+};
+
+TEST(SchedPolicy, EqualAgeWarpsIssueInSlotOrder)
+{
+    // Warps submitted in the same cycle tie on age; oldest-first must
+    // break the tie by slot whatever the warp-buffer size (std::sort
+    // is not stable, which shows beyond 16 entries). Every ray of a
+    // warp starts at the root, so each warp's first fetch takes all
+    // its lanes and the next cycle moves on to the next warp.
+    constexpr int kEntries = 32;
+    TraceConfig cfg;
+    cfg.sched = WarpSchedPolicy::OldestFirst;
+    cfg.warp_buffer_entries = kEntries;
+    RtHarness h(makeSoup(34, 1500), cfg, 200);
+    FetchSlotLog log;
+    h.unit.attachObservers({&log}, nullptr);
+    int retired = 0;
+    for (int w = 0; w < kEntries; ++w)
+        h.unit.submit(frontalJob(rtunit::kWarpSize, 600 + w), 0,
+                      [&](int, const TraceResult &) { retired++; });
+    h.drain([&] { return retired == kEntries; });
+
+    ASSERT_GE(log.slots.size(), std::size_t(kEntries));
+    for (int k = 0; k < kEntries; ++k)
+        EXPECT_EQ(log.slots[std::size_t(k)], k) << "fetch " << k;
 }
 
 } // namespace
