@@ -17,7 +17,7 @@
  *
  * The per-scene × per-config simulation loops run on the
  * `cooprt::exec` campaign engine (`runMatrix` / `compareCoopAll`
- * below): jobs execute across a work-stealing pool, results come
+ * below): jobs execute across the worker pool, results come
  * back in submission order, and the printed tables are bit-identical
  * to a serial run.
  */

@@ -2,7 +2,7 @@
  * @file
  * Campaign driver over the `cooprt::exec` engine: expand a
  * scenes × configs matrix into jobs, run them across the
- * work-stealing pool, and emit a summary table plus optional
+ * worker pool, and emit a summary table plus optional
  * JSON-lines results. Parallel output is byte-identical to
  * `--jobs 1` (see DESIGN.md "Campaign engine").
  *
@@ -71,14 +71,9 @@
  *   --telemetry-log FILE  campaign lifecycle event log, one JSON
  *                         line per job start/retry/timeout/finish
  *                         plus campaign begin/end
- *   --heartbeat-s S       live stderr status line every S seconds
- *                         (done/failed/running jobs, steals, EWMA
- *                         job duration, ETA, RSS); S must be
- *                         positive
- *   --prom-out FILE       Prometheus text-exposition snapshot of the
- *                         campaign counters, rewritten atomically on
- *                         every heartbeat (or once at exit without
- *                         --heartbeat-s)
+ *
+ * Progress: one "[campaign] <tag> ok [k/N]" line per finished job
+ * on stderr, then a summary line with the final counts.
  */
 
 #include <atomic>
@@ -88,7 +83,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -209,8 +203,6 @@ main(int argc, char **argv)
     std::string diff_baseline;
     std::string diff_out;
     std::string telemetry_log;
-    std::string prom_out;
-    double heartbeat_s = 0.0;
 
     auto set_scenes = [&](const std::string &list) {
         if (list == "all")
@@ -270,7 +262,6 @@ main(int argc, char **argv)
                    "  [--profile-dir DIR] [--ray-dir DIR]\n"
                    "  [--ray-sample-k N] [--memscope-dir DIR]\n"
                    "  [--telemetry-dir DIR] [--telemetry-log FILE]\n"
-                   "  [--heartbeat-s S] [--prom-out FILE]\n"
                    "  [--csv] [--list-configs] [--version]\n";
             return 0;
         } else if (a == "--version") {
@@ -346,11 +337,6 @@ main(int argc, char **argv)
             copt.telemetry_dir = next("--telemetry-dir");
         } else if (a == "--telemetry-log") {
             telemetry_log = next("--telemetry-log");
-        } else if (a == "--heartbeat-s") {
-            heartbeat_s =
-                cli::realArg("--heartbeat-s", next("--heartbeat-s"));
-        } else if (a == "--prom-out") {
-            prom_out = next("--prom-out");
         } else if (a == "--csv") {
             csv = true;
         } else {
@@ -394,19 +380,16 @@ main(int argc, char **argv)
                 scenes.push_back(l);
     }
 
-    // The campaign's own observability: exec.* counters live in this
-    // session's registry and are printed with the summary. The diff
-    // engine adds its diff.* probes when --diff-baseline is active;
-    // the Differ outlives the end-of-run registry snapshot below.
-    trace::Session session;
-    copt.session = &session;
+    // The diff engine's diff.* probes, printed with the summary when
+    // --diff-baseline is active; the Differ outlives the end-of-run
+    // registry snapshot below.
+    trace::Registry registry;
     diff::Differ differ;
     if (!diff_baseline.empty())
-        differ.registerMetrics(session.registry());
+        differ.registerMetrics(registry);
 
     // Campaign telemetry: the event log streams lifecycle events as
-    // JSON lines, the monitor aggregates EWMA/ETA and serves the
-    // heartbeat and Prometheus snapshots.
+    // JSON lines.
     std::ofstream telemetry_log_os;
     if (!telemetry_log.empty()) {
         telemetry_log_os.open(telemetry_log);
@@ -420,12 +403,6 @@ main(int argc, char **argv)
         telemetry_log_os.is_open() ? &telemetry_log_os : nullptr);
     if (event_log.enabled())
         copt.event_log = &event_log;
-    telemetry::CampaignMonitor monitor;
-    const bool monitor_on = heartbeat_s > 0.0 || !prom_out.empty();
-    if (monitor_on) {
-        copt.monitor = &monitor;
-        monitor.registerProbes(session.registry(), &monitor);
-    }
 
     const std::size_t total = scenes.size() * config_names.size();
     std::atomic<std::size_t> completed{0};
@@ -451,28 +428,7 @@ main(int argc, char **argv)
                 exec::Job{label, cfg, label + "/" + cname});
         }
 
-    std::vector<exec::JobResult> results;
-    {
-        // Heartbeat scope: lives exactly as long as the run. Each
-        // beat prints the monitor's status line to stderr and, when
-        // requested, refreshes the Prometheus snapshot atomically.
-        std::optional<telemetry::Heartbeat> heartbeat;
-        if (heartbeat_s > 0.0)
-            heartbeat.emplace(
-                heartbeat_s,
-                [&] {
-                    const telemetry::CampaignCounters c =
-                        exec::countersSnapshot(campaign.stats());
-                    if (!prom_out.empty())
-                        monitor.writePrometheus(prom_out, c);
-                    return monitor.statusLine(c);
-                },
-                std::cerr);
-        results = campaign.run();
-    }
-    if (!prom_out.empty())
-        monitor.writePrometheus(
-            prom_out, exec::countersSnapshot(campaign.stats()));
+    const std::vector<exec::JobResult> results = campaign.run();
 
     // "--json-out -" streams the JSON lines to stdout; the summary
     // table then moves to stderr so stdout stays pure JSON.
@@ -580,25 +536,15 @@ main(int argc, char **argv)
     const auto &st = campaign.stats();
     std::fprintf(stderr,
                  "[campaign] %llu ok, %llu failed (%llu timeouts), "
-                 "%llu retried, %llu steals, %.2f s wall\n",
+                 "%llu retried, %.2f s wall\n",
                  (unsigned long long)st.done.load(),
                  (unsigned long long)st.failed.load(),
                  (unsigned long long)st.timed_out.load(),
                  (unsigned long long)st.retried.load(),
-                 (unsigned long long)st.steals.load(),
                  campaign.wallSeconds());
-    for (const auto &sample : session.registry().snapshot("exec.*"))
-        std::fprintf(stderr, "[campaign] %s = %.0f\n",
-                     sample.name.c_str(), sample.value);
     if (!diff_baseline.empty())
-        for (const auto &sample :
-             session.registry().snapshot("diff.*"))
+        for (const auto &sample : registry.snapshot("diff.*"))
             std::fprintf(stderr, "[campaign] %s = %.0f\n",
-                         sample.name.c_str(), sample.value);
-    if (monitor_on)
-        for (const auto &sample :
-             session.registry().snapshot("telemetry.*"))
-            std::fprintf(stderr, "[campaign] %s = %.2f\n",
                          sample.name.c_str(), sample.value);
 
     return st.failed.load() == 0 ? 0 : 1;

@@ -23,7 +23,8 @@
  *   --prefetch            treelet-style child prefetch
  *   --predictor           intersection predictor
  *   --bfs                 BFS traversal order
- *   --mobile              mobile GPU configuration
+ *   --mobile              mobile GPU configuration (composes with
+ *                         the traversal flags in any order)
  *   --bounces N           path-tracing bounce limit
  *   --query-k N           k for the knn workload (default 4)
  *   --query-radius R      search radius for the radius workload
@@ -144,6 +145,7 @@ main(int argc, char **argv)
     bool scene_explicit = false;
     core::RunConfig cfg;
     bool json = false;
+    bool mobile = false;
     core::ObserverRequest req;
     double heartbeat_s = 0.0;
 
@@ -224,7 +226,7 @@ main(int argc, char **argv)
         } else if (a == "--bfs") {
             cfg.gpu.trace.order = rtunit::TraversalOrder::Bfs;
         } else if (a == "--mobile") {
-            cfg.gpu = gpu::GpuConfig::mobileBench();
+            mobile = true;
         } else if (a == "--bounces") {
             cfg.pt.max_bounces =
                 cli::intArg("--bounces", next("--bounces"), 0);
@@ -280,6 +282,14 @@ main(int argc, char **argv)
         } else {
             return usage(("unknown flag " + a).c_str());
         }
+    }
+
+    // The mobile GPU replaces the machine, not the traversal knobs
+    // parsed above, so flag order does not matter.
+    if (mobile) {
+        const rtunit::TraceConfig trace = cfg.gpu.trace;
+        cfg.gpu = gpu::GpuConfig::mobileBench();
+        cfg.gpu.trace = trace;
     }
 
     // Query workloads need a query scene; when the user didn't pick

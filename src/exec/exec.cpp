@@ -1,9 +1,7 @@
 #include "exec/exec.hpp"
 
 #include <chrono>
-#include <deque>
 #include <filesystem>
-#include <map>
 #include <mutex>
 #include <ostream>
 #include <stdexcept>
@@ -54,20 +52,6 @@ failureKindName(FailureKind kind)
     return "unknown";
 }
 
-telemetry::CampaignCounters
-countersSnapshot(const CampaignStats &s)
-{
-    telemetry::CampaignCounters c;
-    c.queued = s.queued.load(std::memory_order_relaxed);
-    c.running = s.running.load(std::memory_order_relaxed);
-    c.done = s.done.load(std::memory_order_relaxed);
-    c.failed = s.failed.load(std::memory_order_relaxed);
-    c.retried = s.retried.load(std::memory_order_relaxed);
-    c.timed_out = s.timed_out.load(std::memory_order_relaxed);
-    c.steals = s.steals.load(std::memory_order_relaxed);
-    return c;
-}
-
 std::string
 sanitizeTag(const std::string &tag)
 {
@@ -86,31 +70,6 @@ sanitizeTag(const std::string &tag)
 Campaign::Campaign(CampaignOptions options)
     : options_(std::move(options))
 {
-    if (options_.session != nullptr) {
-        auto &reg = options_.session->registry();
-        auto probe = [&](const char *name,
-                         const std::atomic<std::uint64_t> &value) {
-            reg.probe(name,
-                      [&value] {
-                          return double(value.load(
-                              std::memory_order_relaxed));
-                      },
-                      this);
-        };
-        probe("exec.jobs_queued", stats_.queued);
-        probe("exec.jobs_running", stats_.running);
-        probe("exec.jobs_done", stats_.done);
-        probe("exec.jobs_failed", stats_.failed);
-        probe("exec.jobs_retried", stats_.retried);
-        probe("exec.jobs_timed_out", stats_.timed_out);
-        probe("exec.steals", stats_.steals);
-    }
-}
-
-Campaign::~Campaign()
-{
-    if (options_.session != nullptr)
-        options_.session->registry().unregisterOwner(this);
 }
 
 std::size_t
@@ -123,7 +82,7 @@ Campaign::add(Job job)
 JobRunner
 Campaign::defaultRunner() const
 {
-    return [o = options_](const Job &job, std::stop_token) {
+    return [o = options_](const Job &job) {
         // Every job gets private observers writing
         // `<dir>/<sanitized tag><ext>`, so jobs never share state.
         const std::string stem = sanitizeTag(job.tag);
@@ -132,10 +91,8 @@ Campaign::defaultRunner() const
         };
         core::ObserverRequest req;
         req.profiler = o.attach_profiler;
-        req.ray_recorder = o.attach_ray_recorder;
         req.ray = o.ray_config;
         req.memscope = o.attach_memscope;
-        req.telemetry = o.attach_telemetry;
         core::SinkPaths &s = req.sinks;
         s.metrics = path(o.metrics_dir, ".metrics.csv");
         s.prof_folded = path(o.profile_dir, ".folded");
@@ -194,127 +151,75 @@ Campaign::run()
         throw std::runtime_error("cannot create sink directory " + err);
 
     telemetry::EventLog *events = options_.event_log;
-    telemetry::CampaignMonitor *monitor = options_.monitor;
-    if (monitor != nullptr) {
-        monitor->begin(n, workers);
-        monitor->setCountersSource(
-            [this] { return countersSnapshot(stats_); });
-    }
     if (events != nullptr)
         events->campaignBegin(n, workers);
 
     const JobRunner runner = runner_ ? runner_ : defaultRunner();
-
-    // Per-worker job queues; jobs are dealt round-robin and idle
-    // workers steal from the back of a victim's queue. Mutex-per-
-    // queue is plenty at this granularity (jobs are whole simulation
-    // runs, milliseconds to minutes each).
-    struct WorkerQueue
-    {
-        std::mutex m;
-        std::deque<std::size_t> q;
-    };
-    const std::size_t nworkers = std::size_t(workers);
-    std::vector<WorkerQueue> queues(nworkers);
-    for (std::size_t i = 0; i < n; ++i)
-        queues[i % nworkers].q.push_back(i);
-
-    std::vector<int> attempts(n, 0);
-    std::atomic<std::size_t> remaining{n};
-
-    // Watchdog bookkeeping: running jobs with a deadline. The
-    // watchdog requests stop on overdue jobs so cooperative runners
-    // can abort; non-cooperative ones are failed when they return.
-    struct RunningJob
-    {
-        Clock::time_point deadline;
-        std::stop_source *stop = nullptr;
-    };
-    std::mutex running_mtx;
-    std::map<std::size_t, RunningJob> running_jobs;
-
+    std::atomic<std::size_t> cursor{0};
     std::mutex completion_mtx;
 
-    auto execute = [&](int wid, std::size_t idx) {
-        Job &job = jobs_[idx];
+    // Runs every attempt of job `idx` in place: until one succeeds,
+    // overruns its budget, or the retry budget is spent.
+    auto execute = [&](std::size_t idx) {
+        const Job &job = jobs_[idx];
         JobResult &r = results[idx];
-        stats_.running.fetch_add(1, std::memory_order_relaxed);
-        // cooprt-lint: allow(unseeded-randomness) per-job wall-clock
-        // drives timeouts and reporting, never simulation results
-        const auto t0 = Clock::now();
-        std::stop_source stop;
-        if (timeout_s > 0.0) {
-            std::lock_guard<std::mutex> lock(running_mtx);
-            running_jobs[idx] = RunningJob{
-                t0 + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(timeout_s)),
-                &stop};
-        }
-
-        attempts[idx]++;
-        if (events != nullptr)
-            events->jobStart(idx, job.tag, attempts[idx]);
-        bool ok = false;
-        std::optional<JobFailure> failure;
-        core::RunOutcome outcome;
-        try {
-            outcome = runner(job, stop.get_token());
-            ok = true;
-        } catch (const std::exception &e) {
-            failure = JobFailure{FailureKind::Exception, e.what()};
-        } catch (...) {
-            failure = JobFailure{FailureKind::Exception,
-                                 "unknown exception"};
-        }
-
-        if (timeout_s > 0.0) {
-            std::lock_guard<std::mutex> lock(running_mtx);
-            running_jobs.erase(idx);
-        }
-        const double elapsed = secondsSince(t0);
-        // cooprt-lint: allow(float-accumulation-order) single writer
-        // per result slot: only this job's attempts ever add to r
-        r.wall_seconds += elapsed;
-        stats_.running.fetch_sub(1, std::memory_order_relaxed);
-
-        // A job that overran its budget is a timeout no matter how
-        // it ended — even a runner that aborted by throwing once the
-        // token fired reports as Timeout, and timeouts never retry
-        // (a deterministic job would only time out again).
-        const bool overdue = timeout_s > 0.0 && elapsed > timeout_s;
-        if (overdue) {
-            ok = false;
-            failure = JobFailure{
-                FailureKind::Timeout,
-                "exceeded wall-clock budget of " +
-                    std::to_string(timeout_s) + " s"};
-            stats_.timed_out.fetch_add(1, std::memory_order_relaxed);
-            if (events != nullptr)
-                events->jobTimeout(idx, job.tag, timeout_s);
-        } else if (!ok && attempts[idx] <= options_.retries) {
-            stats_.retried.fetch_add(1, std::memory_order_relaxed);
-            if (events != nullptr)
-                events->jobRetry(idx, job.tag, attempts[idx] + 1);
-            std::lock_guard<std::mutex> lock(
-                queues[std::size_t(wid)].m);
-            queues[std::size_t(wid)].q.push_back(idx);
-            return;
-        }
-
         r.index = idx;
         r.tag = job.tag;
-        r.ok = ok;
-        r.attempts = attempts[idx];
-        if (ok) {
+        core::RunOutcome outcome;
+        std::optional<JobFailure> failure;
+        for (;;) {
+            r.attempts++;
+            if (events != nullptr)
+                events->jobStart(idx, job.tag, r.attempts);
+            stats_.running.fetch_add(1, std::memory_order_relaxed);
+            // cooprt-lint: allow(unseeded-randomness) per-job
+            // wall-clock drives timeouts and reporting, never
+            // simulation results
+            const auto t0 = Clock::now();
+            failure.reset();
+            try {
+                outcome = runner(job);
+            } catch (const std::exception &e) {
+                failure = JobFailure{FailureKind::Exception, e.what()};
+            } catch (...) {
+                failure = JobFailure{FailureKind::Exception,
+                                     "unknown exception"};
+            }
+            const double elapsed = secondsSince(t0);
+            // cooprt-lint: allow(float-accumulation-order) single
+            // writer per result slot: only this worker adds to r
+            r.wall_seconds += elapsed;
+            stats_.running.fetch_sub(1, std::memory_order_relaxed);
+
+            // An attempt that overran its budget is a timeout no
+            // matter how it ended, and timeouts never retry (a
+            // deterministic job would only time out again).
+            if (timeout_s > 0.0 && elapsed > timeout_s) {
+                failure = JobFailure{
+                    FailureKind::Timeout,
+                    "exceeded wall-clock budget of " +
+                        std::to_string(timeout_s) + " s"};
+                stats_.timed_out.fetch_add(1,
+                                           std::memory_order_relaxed);
+                if (events != nullptr)
+                    events->jobTimeout(idx, job.tag, timeout_s);
+                break;
+            }
+            if (!failure || r.attempts > options_.retries)
+                break;
+            stats_.retried.fetch_add(1, std::memory_order_relaxed);
+            if (events != nullptr)
+                events->jobRetry(idx, job.tag, r.attempts + 1);
+        }
+
+        r.ok = !failure;
+        if (r.ok) {
             r.outcome = std::move(outcome);
             stats_.done.fetch_add(1, std::memory_order_relaxed);
         } else {
             r.failure = std::move(failure);
             stats_.failed.fetch_add(1, std::memory_order_relaxed);
         }
-        remaining.fetch_sub(1);
-        if (monitor != nullptr)
-            monitor->jobFinished(r.wall_seconds);
         if (events != nullptr)
             events->jobFinish(idx, job.tag, r.ok, r.attempts,
                               r.ok ? r.outcome.gpu.cycles : 0,
@@ -325,103 +230,45 @@ Campaign::run()
         }
     };
 
-    auto workerLoop = [&](int wid) {
-        for (;;) {
-            std::size_t idx = 0;
-            bool have = false;
-            {
-                auto &own = queues[std::size_t(wid)];
-                std::lock_guard<std::mutex> lock(own.m);
-                if (!own.q.empty()) {
-                    idx = own.q.front();
-                    own.q.pop_front();
-                    have = true;
-                }
-            }
-            if (!have) {
-                for (int v = 1; v < workers && !have; ++v) {
-                    auto &victim =
-                        queues[std::size_t((wid + v) % workers)];
-                    std::lock_guard<std::mutex> lock(victim.m);
-                    if (!victim.q.empty()) {
-                        idx = victim.q.back();
-                        victim.q.pop_back();
-                        have = true;
-                        stats_.steals.fetch_add(
-                            1, std::memory_order_relaxed);
-                    }
-                }
-            }
-            if (!have) {
-                if (remaining.load() == 0)
-                    return;
-                // Another worker may still requeue a retry; nap
-                // briefly (jobs are whole simulation runs, so this
-                // costs nothing measurable).
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(200));
-                continue;
-            }
-            execute(wid, idx);
-        }
-    };
-
+    // One shared cursor balances the load: jobs are whole simulation
+    // runs (milliseconds to minutes), so an idle worker simply takes
+    // the next unclaimed index.
     {
-        std::jthread watchdog;
-        if (timeout_s > 0.0)
-            watchdog = std::jthread([&](std::stop_token st) {
-                while (!st.stop_requested()) {
-                    {
-                        std::lock_guard<std::mutex> lock(running_mtx);
-                        // cooprt-lint: allow(unseeded-randomness)
-                        // deadlines are wall-clock by definition;
-                        // the watchdog cancels, it never computes
-                        const auto now = Clock::now();
-                        for (auto &[idx, rj] : running_jobs)
-                            if (now >= rj.deadline)
-                                rj.stop->request_stop();
-                    }
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(1));
-                }
+        std::vector<std::jthread> pool;
+        pool.reserve(std::size_t(workers));
+        for (int w = 0; w < workers; ++w)
+            pool.emplace_back([&] {
+                for (std::size_t idx = cursor++; idx < n; idx = cursor++)
+                    execute(idx);
             });
-        {
-            std::vector<std::jthread> pool;
-            pool.reserve(std::size_t(workers));
-            for (int w = 0; w < workers; ++w)
-                pool.emplace_back(workerLoop, w);
-        } // joins the workers
-        if (watchdog.joinable())
-            watchdog.request_stop();
-    } // joins the watchdog
+    } // joins the workers
 
     wall_seconds_ = secondsSince(campaign_start);
     if (events != nullptr)
-        events->campaignEnd(countersSnapshot(stats_), wall_seconds_);
+        events->campaignEnd(
+            telemetry::CampaignCounters{
+                .done = stats_.done.load(),
+                .failed = stats_.failed.load(),
+                .retried = stats_.retried.load(),
+                .timed_out = stats_.timed_out.load()},
+            wall_seconds_);
 
 #if COOPRT_CHECK_ENABLED
     // Campaign accounting must conserve jobs: every queued job ends
-    // exactly once (done or failed), nothing is still running, every
-    // timeout surfaced as a failure, and each steal corresponds to a
-    // real execution (done + failed + requeued retries).
+    // exactly once (done or failed), nothing is still running, and
+    // every timeout surfaced as a failure.
     COOPRT_AUDIT("exec", "exec.jobs_conservation", 0,
                  stats_.running.load() == 0 &&
                      stats_.done.load() + stats_.failed.load() ==
                          stats_.queued.load() &&
-                     stats_.timed_out.load() <= stats_.failed.load() &&
-                     stats_.steals.load() <=
-                         stats_.done.load() + stats_.failed.load() +
-                             stats_.retried.load(),
+                     stats_.timed_out.load() <= stats_.failed.load(),
                  "queued=" + std::to_string(stats_.queued.load()) +
                      " done=" + std::to_string(stats_.done.load()) +
                      " failed=" + std::to_string(stats_.failed.load()) +
                      " running=" +
                      std::to_string(stats_.running.load()) +
-                     " retried=" +
-                     std::to_string(stats_.retried.load()) +
                      " timed_out=" +
-                     std::to_string(stats_.timed_out.load()) +
-                     " steals=" + std::to_string(stats_.steals.load()));
+                     std::to_string(stats_.timed_out.load()));
 #endif
     return results;
 }

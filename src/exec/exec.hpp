@@ -4,9 +4,10 @@
  *
  * Every paper figure/table and design-space sweep is a list of
  * independent, deterministic simulation jobs (scene × RunConfig).
- * This subsystem runs such a campaign across a work-stealing pool of
- * `std::jthread` workers and collects the outcomes in submission
- * order, so parallel output is byte-identical to a serial run:
+ * This subsystem runs such a campaign across a pool of `std::jthread`
+ * workers that take jobs from one shared cursor, and collects the
+ * outcomes in submission order, so parallel output is byte-identical
+ * to a serial run:
  *
  *     std::vector<exec::Job> jobs;
  *     for (const auto &label : scene::SceneRegistry::allLabels())
@@ -24,10 +25,10 @@
  *
  * Fault isolation: a job that throws is captured as a structured
  * `JobFailure` (with a retry budget for transient host errors), and a
- * job that exceeds its wall-clock budget is failed as a timeout —
- * either way the rest of the campaign completes. Timeouts are not
- * retried: the simulator is deterministic, so a pathological config
- * would only time out again.
+ * job whose attempt ran past its wall-clock budget is failed as a
+ * timeout when it returns — either way the rest of the campaign
+ * completes. Timeouts are not retried: the simulator is
+ * deterministic, so a pathological config would only time out again.
  */
 
 #ifndef COOPRT_EXEC_EXEC_HPP
@@ -38,7 +39,6 @@
 #include <functional>
 #include <iosfwd>
 #include <optional>
-#include <stop_token>
 #include <string>
 #include <vector>
 
@@ -88,27 +88,24 @@ struct JobResult
     double wall_seconds = 0.0;
 };
 
-/** Live campaign counters (also exported as `exec.*` registry
- *  probes when a `trace::Session` is attached). */
+/** Live campaign counters; the event log's `campaign_end` line and
+ *  `campaign_cli`'s summary line report them. */
 struct CampaignStats
 {
     std::atomic<std::uint64_t> queued{0};    ///< total jobs submitted
     std::atomic<std::uint64_t> running{0};   ///< currently executing
     std::atomic<std::uint64_t> done{0};      ///< completed ok
     std::atomic<std::uint64_t> failed{0};    ///< gave up (incl. timeouts)
-    std::atomic<std::uint64_t> retried{0};   ///< re-queued attempts
+    std::atomic<std::uint64_t> retried{0};   ///< extra attempts taken
     std::atomic<std::uint64_t> timed_out{0}; ///< failures that were timeouts
-    std::atomic<std::uint64_t> steals{0};    ///< jobs taken from another worker
 };
 
 /**
- * Executes one job attempt. The stop token is signalled when the
- * job's wall-clock budget expires; cooperative runners may poll it
- * and abort early (the default simulation runner does not — a
- * non-cooperative overdue job is failed post-hoc when it returns).
+ * Executes one job attempt. Runners are never interrupted: an
+ * attempt that ran longer than `CampaignOptions::timeout_s` is
+ * failed as a timeout when it returns.
  */
-using JobRunner =
-    std::function<core::RunOutcome(const Job &, std::stop_token)>;
+using JobRunner = std::function<core::RunOutcome(const Job &)>;
 
 /** Everything configurable about a campaign. */
 struct CampaignOptions
@@ -117,16 +114,9 @@ struct CampaignOptions
     int jobs = 0;
     /** Extra attempts after a thrown (non-timeout) failure. */
     int retries = 0;
-    /** Per-attempt wall-clock budget in seconds; 0 = unlimited. */
+    /** Per-attempt wall-clock budget in seconds, checked when the
+     *  attempt returns; 0 = unlimited. */
     double timeout_s = 0.0;
-    /**
-     * Optional observability session: the campaign registers
-     * `exec.jobs_queued/running/done/failed/retried/timed_out` and
-     * `exec.steals` probes into its registry (owner-tagged, dropped
-     * when the campaign is destroyed). The session is borrowed and
-     * is NOT handed to jobs — per-job sinks are separate (below).
-     */
-    trace::Session *session = nullptr;
     /** When set, each job runs with its own metrics-enabled session
      *  and writes `<dir>/<sanitized tag>.metrics.csv`. */
     std::string metrics_dir;
@@ -142,9 +132,6 @@ struct CampaignOptions
      *  on the simulated run, so it is byte-identical between
      *  `--jobs 1` and `--jobs N`. */
     std::string raytrace_dir;
-    /** Attach a per-job ray recorder even without `raytrace_dir`,
-     *  filling `outcome.gpu.ray_summary` (bit-identical cycles). */
-    bool attach_ray_recorder = false;
     /** Sampling parameters for per-job ray recorders. */
     raytrace::RecorderConfig ray_config;
     /** When set, each job runs with its own memscope collector and
@@ -163,10 +150,6 @@ struct CampaignOptions
      *  and `--jobs N`; its wall-clock/RSS fields live in a `"host"`
      *  object that identity tooling strips (DESIGN.md §16). */
     std::string telemetry_dir;
-    /** Attach a per-job telemetry recorder even without
-     *  `telemetry_dir`, filling `outcome.telemetry` (bit-identical
-     *  cycle counts). */
-    bool attach_telemetry = false;
     /** When set, each job writes its full schema-stamped run report
      *  to `<dir>/<sanitized tag>.report.json` (`core::writeJson`) —
      *  the file format `diff_cli` and `--diff-baseline` consume.
@@ -180,15 +163,6 @@ struct CampaignOptions
      * log serializes them.
      */
     telemetry::EventLog *event_log = nullptr;
-    /**
-     * Optional campaign aggregate monitor: `run()` arms it
-     * (total/workers), feeds it per-job durations for the EWMA/ETA,
-     * and points its counters source at this campaign's stats.
-     * Borrowed, must outlive `run()`; reads through the counters
-     * source (heartbeats, Prometheus snapshots) must not outlive the
-     * campaign. Null = off.
-     */
-    telemetry::CampaignMonitor *monitor = nullptr;
     /**
      * Completion hook, invoked once per job (success or final
      * failure) from worker threads, serialized by the campaign.
@@ -206,7 +180,6 @@ class Campaign
 {
   public:
     explicit Campaign(CampaignOptions options = {});
-    ~Campaign();
 
     Campaign(const Campaign &) = delete;
     Campaign &operator=(const Campaign &) = delete;
@@ -223,8 +196,10 @@ class Campaign
     void setRunner(JobRunner runner) { runner_ = std::move(runner); }
 
     /**
-     * Run every job to completion across the pool; blocks. Results
-     * are indexed by submission order regardless of worker count.
+     * Run every job to completion across the pool; blocks. Each
+     * worker takes the next unclaimed index and runs all of that
+     * job's attempts before taking another. Results are indexed by
+     * submission order regardless of worker count.
      */
     std::vector<JobResult> run();
 
@@ -269,10 +244,6 @@ void writeJsonLine(std::ostream &os, const JobResult &result);
 
 /** @p tag reduced to a file-name-safe form ([A-Za-z0-9._-]). */
 std::string sanitizeTag(const std::string &tag);
-
-/** Relaxed snapshot of live campaign counters in telemetry's
- *  exec-independent mirror (heartbeats/Prometheus read this). */
-telemetry::CampaignCounters countersSnapshot(const CampaignStats &s);
 
 } // namespace cooprt::exec
 

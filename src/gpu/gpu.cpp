@@ -45,7 +45,7 @@ Gpu::sampleActivity(std::uint64_t cycle)
         session_ != nullptr ? session_->metrics() : nullptr;
 
     if (telem_ != nullptr) {
-        // Live progress for campaign heartbeats: simulated values
+        // Live progress for the run heartbeat: simulated values
         // only, published on the same deterministic boundaries as
         // the activity sampler (reads never perturb the run).
         std::uint64_t retired = 0;

@@ -157,7 +157,7 @@ class Gpu
      * Attach a host-side telemetry recorder for subsequent run()
      * calls (null = telemetry off, the default). The run publishes
      * live simulated progress (cycle, retired trace_rays warps) at
-     * activity-sampling boundaries so campaign heartbeats can read
+     * activity-sampling boundaries so the run heartbeat can read
      * it, and registers the deterministic `telemetry.*` probes when a
      * trace session is also attached. Purely observational: simulated
      * cycle counts are bit-identical with and without it. The

@@ -69,8 +69,10 @@ struct GpuConfig
      * Bench-scale desktop configuration: the rtx2060 scaled to one
      * third of the SMs with the L2 capacity and DRAM bandwidth scaled
      * by the same factor, preserving the per-SM compute : memory
-     * ratio. Benches use this with 64x64 frames so the warps-per-SM
-     * pressure matches the paper's 256x256 over 30 SMs.
+     * ratio. It does not reproduce the paper's occupancy: benches
+     * run it at `SceneRegistry::benchResolution` (48, 40 or 32 px),
+     * and even a 64x64 frame gives only ~410 rays per SM, against
+     * the paper's ~2,185 (256x256 over 30 SMs).
      */
     static GpuConfig
     rtx2060Bench()

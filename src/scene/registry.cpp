@@ -175,8 +175,8 @@ SceneRegistry::benchResolution(const std::string &label)
 {
     if (label == "car" || label == "robot")
         return 32;
-    // The heaviest traversal workloads run at 40x40, mirroring the
-    // paper's own down-scaling of its heaviest scenes.
+    // The heaviest traversal workloads run at 40x40. This is a
+    // bench-scale choice: the paper down-scales only car/robot.
     if (label == "fox" || label == "party" || label == "frst")
         return 40;
     // Query scenes issue one query per "pixel"; 32x32 = 1024 queries

@@ -55,9 +55,11 @@ class SceneRegistry
     static const Scene &get(const std::string &label);
 
     /**
-     * Bench resolution for @p label: 64, except `car`/`robot` at 32 —
-     * mirroring the paper's use of 128x128 instead of 256x256 for its
-     * two largest scenes.
+     * Bench resolution for @p label: 48, except 40 for the heaviest
+     * traversal scenes (`fox`/`party`/`frst`) and 32 for `car`/`robot`
+     * (the paper renders those two at 128x128 instead of 256x256) and
+     * for the query scenes. Throws std::out_of_range for unknown
+     * labels.
      */
     static int benchResolution(const std::string &label);
 

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -134,7 +133,7 @@ Recorder::registerMetrics(trace::Registry &registry)
     // Deterministic gauges only (simulated cycle / retired-warp
     // progress): these may join per-run metrics sessions without
     // breaking the jobs-1-vs-N byte-identity contract. Host wall
-    // clock and RSS are campaign-registry-only (registerProbes).
+    // clock and RSS stay in the sink's "host" object.
     registry.probe(
         "telemetry.sim_cycle", [this] { return double(liveCycle()); },
         this);
@@ -274,192 +273,13 @@ EventLog::campaignEnd(const CampaignCounters &c, double wall_seconds)
 {
     std::ostringstream host;
     host << "\"wall_seconds\":" << wall_seconds
-         << ",\"steals\":" << c.steals
          << ",\"rss_peak_kb\":" << readRss().peak_kb;
-    // Steals are scheduling-dependent (worker-count-sensitive), so
-    // they report under host even though the counter is integral.
     emit("campaign_end",
          "\"done\":" + std::to_string(c.done) +
              ",\"failed\":" + std::to_string(c.failed) +
              ",\"retried\":" + std::to_string(c.retried) +
              ",\"timed_out\":" + std::to_string(c.timed_out),
          host.str());
-}
-
-/* ------------------------------------------------------------------ */
-/* Campaign monitor                                                    */
-/* ------------------------------------------------------------------ */
-
-namespace {
-
-/** EWMA smoothing for per-job durations: responsive within ~5 jobs
- *  while damping one outlier to 30% weight. */
-constexpr double kEwmaAlpha = 0.3;
-
-} // namespace
-
-void
-CampaignMonitor::begin(std::size_t total_jobs, int workers)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    total_jobs_ = total_jobs;
-    workers_ = workers > 0 ? workers : 1;
-    t0_ = monotonicSeconds();
-    ewma_seconds_ = 0.0;
-    finished_ = 0;
-}
-
-void
-CampaignMonitor::jobFinished(double duration_seconds)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    finished_++;
-    ewma_seconds_ = finished_ == 1
-                        ? duration_seconds
-                        : kEwmaAlpha * duration_seconds +
-                              (1.0 - kEwmaAlpha) * ewma_seconds_;
-}
-
-double
-CampaignMonitor::ewmaJobSeconds() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return ewma_seconds_;
-}
-
-double
-CampaignMonitor::jobsPerSecond(const CampaignCounters &c) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const double elapsed = monotonicSeconds() - t0_;
-    return elapsed > 0.0 ? double(c.done) / elapsed : 0.0;
-}
-
-double
-CampaignMonitor::etaSeconds(const CampaignCounters &c) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (finished_ == 0)
-        return -1.0;
-    const std::uint64_t ended = c.done + c.failed;
-    const std::uint64_t remaining =
-        total_jobs_ > ended ? total_jobs_ - ended : 0;
-    return double(remaining) * ewma_seconds_ / double(workers_);
-}
-
-std::string
-CampaignMonitor::statusLine(const CampaignCounters &c) const
-{
-    const double ewma = ewmaJobSeconds();
-    const double eta = etaSeconds(c);
-    const Rss rss = readRss();
-    char buf[256];
-    std::size_t total;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        total = total_jobs_;
-    }
-    std::snprintf(buf, sizeof buf,
-                  "%llu/%zu done, %llu failed, %llu running, "
-                  "%llu steals, ewma %.2f s, eta %s, rss %llu MB",
-                  (unsigned long long)c.done, total,
-                  (unsigned long long)c.failed,
-                  (unsigned long long)c.running,
-                  (unsigned long long)c.steals, ewma,
-                  eta < 0.0
-                      ? "?"
-                      : (std::to_string(int(eta + 0.5)) + " s").c_str(),
-                  (unsigned long long)(rss.current_kb / 1024));
-    return buf;
-}
-
-void
-CampaignMonitor::registerProbes(trace::Registry &registry,
-                                const void *owner)
-{
-    auto counters = [this]() -> CampaignCounters {
-        return counters_fn_ ? counters_fn_() : CampaignCounters{};
-    };
-    registry.probe(
-        "telemetry.ewma_job_seconds",
-        [this] { return ewmaJobSeconds(); }, owner);
-    registry.probe(
-        "telemetry.jobs_per_second",
-        [this, counters] { return jobsPerSecond(counters()); },
-        owner);
-    registry.probe(
-        "telemetry.eta_seconds",
-        [this, counters] { return etaSeconds(counters()); }, owner);
-    registry.probe(
-        "telemetry.rss_current_kb",
-        [] { return double(readRss().current_kb); }, owner);
-    registry.probe(
-        "telemetry.rss_peak_kb",
-        [] { return double(readRss().peak_kb); }, owner);
-}
-
-void
-CampaignMonitor::writePrometheusTo(std::ostream &os,
-                                   const CampaignCounters &c) const
-{
-    auto metric = [&os](const char *name, const char *help,
-                        const char *type, double value) {
-        os << "# HELP " << name << ' ' << help << '\n'
-           << "# TYPE " << name << ' ' << type << '\n'
-           << name << ' ' << value << '\n';
-    };
-    metric("cooprt_jobs_queued", "Jobs submitted to the campaign.",
-           "gauge", double(c.queued));
-    metric("cooprt_jobs_running", "Jobs currently executing.",
-           "gauge", double(c.running));
-    metric("cooprt_jobs_done", "Jobs completed successfully.",
-           "counter", double(c.done));
-    metric("cooprt_jobs_failed", "Jobs that gave up.", "counter",
-           double(c.failed));
-    metric("cooprt_jobs_retried", "Re-queued job attempts.",
-           "counter", double(c.retried));
-    metric("cooprt_jobs_timed_out",
-           "Failures that were wall-clock timeouts.", "counter",
-           double(c.timed_out));
-    metric("cooprt_steals_total",
-           "Jobs taken from another worker's queue.", "counter",
-           double(c.steals));
-    metric("cooprt_job_seconds_ewma",
-           "EWMA of per-job wall-clock seconds.", "gauge",
-           ewmaJobSeconds());
-    metric("cooprt_jobs_per_second",
-           "Completed jobs per wall-clock second.", "gauge",
-           jobsPerSecond(c));
-    metric("cooprt_eta_seconds",
-           "Estimated seconds to campaign completion.", "gauge",
-           etaSeconds(c));
-    const Rss rss = readRss();
-    metric("cooprt_rss_current_kb", "Resident set size, kB.", "gauge",
-           double(rss.current_kb));
-    metric("cooprt_rss_peak_kb", "Peak resident set size, kB.",
-           "gauge", double(rss.peak_kb));
-    os << "# HELP cooprt_build_info Build provenance (value is "
-          "always 1).\n"
-       << "# TYPE cooprt_build_info gauge\n"
-       << "cooprt_build_info{revision=\""
-       << trace::escapeJson(build::kGitRevision) << "\",dirty=\""
-       << (build::kGitDirty ? "1" : "0") << "\",build_type=\""
-       << trace::escapeJson(build::kBuildType) << "\",check=\""
-       << (build::kCheckEnabled ? "1" : "0") << "\"} 1\n";
-}
-
-void
-CampaignMonitor::writePrometheus(const std::string &path,
-                                 const CampaignCounters &c) const
-{
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp);
-        if (!os)
-            return; // snapshotting is best-effort; never fail a run
-        writePrometheusTo(os, c);
-    }
-    std::rename(tmp.c_str(), path.c_str());
 }
 
 /* ------------------------------------------------------------------ */

@@ -8,9 +8,9 @@
  * `src/memscope` observes the *simulated* GPU; this subsystem
  * observes the simulator. Per run it records phase-scoped monotonic
  * wall-clock spans (scene load, BVH build, warmup, sim loop, report
- * emission) and peak/current RSS; per campaign it adds a live
- * stderr heartbeat, a JSON-lines event log and a Prometheus-style
- * text exposition snapshot.
+ * emission) and peak/current RSS; a live stderr heartbeat reports
+ * progress inside one long run, and per campaign it adds a
+ * JSON-lines event log.
  *
  * Determinism contract (the same one every observer layer honors):
  * attaching telemetry never changes simulated results — the recorder
@@ -243,18 +243,15 @@ class Recorder
 /* ------------------------------------------------------------------ */
 
 /**
- * A snapshot of the campaign counters (mirrors `exec::CampaignStats`
- * without depending on it; exec copies the atomics in).
+ * The final campaign counts `campaign_end` reports (mirrors
+ * `exec::CampaignStats` without depending on it).
  */
 struct CampaignCounters
 {
-    std::uint64_t queued = 0;
-    std::uint64_t running = 0;
     std::uint64_t done = 0;
     std::uint64_t failed = 0;
     std::uint64_t retried = 0;
     std::uint64_t timed_out = 0;
-    std::uint64_t steals = 0;
 };
 
 /**
@@ -294,72 +291,6 @@ class EventLog
     std::ostream *os_;
     double t0_ = 0.0;
     std::mutex mutex_;
-};
-
-/**
- * Aggregate campaign monitor: EWMA job duration, ETA, the live
- * status line the heartbeat prints, and the Prometheus snapshot.
- * Thread-safe; one per campaign.
- */
-class CampaignMonitor
-{
-  public:
-    /** Arm for a campaign of @p total_jobs on @p workers threads. */
-    void begin(std::size_t total_jobs, int workers);
-
-    /** Fold one finished job into the EWMA (workers call this). */
-    void jobFinished(double duration_seconds);
-
-    /** EWMA of per-job wall clock (0 until the first job lands). */
-    double ewmaJobSeconds() const;
-
-    /** Completed jobs per wall-clock second since begin(). */
-    double jobsPerSecond(const CampaignCounters &counters) const;
-
-    /**
-     * Estimated seconds to completion: remaining × EWMA ÷ workers.
-     * Negative when unknown (no finished job yet).
-     */
-    double etaSeconds(const CampaignCounters &counters) const;
-
-    /** The heartbeat line, e.g.
-     *  `12/40 done, 1 failed, 4 running, 3 steals, ewma 0.41 s,
-     *   eta 2.9 s, rss 182 MB`. */
-    std::string statusLine(const CampaignCounters &counters) const;
-
-    /**
-     * Register the campaign-level `telemetry.*` probes (EWMA,
-     * jobs/sec, RSS) into @p registry under @p owner. Campaign
-     * registries only — these gauges are host-side and must never
-     * join a per-run metrics session.
-     */
-    void registerProbes(trace::Registry &registry, const void *owner);
-
-    /**
-     * Write a Prometheus text-exposition snapshot atomically (tmp
-     * file + rename, so scrapers never see a torn file).
-     */
-    void writePrometheus(const std::string &path,
-                         const CampaignCounters &counters) const;
-
-    /** writePrometheus body, for tests / non-file sinks. */
-    void writePrometheusTo(std::ostream &os,
-                           const CampaignCounters &counters) const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::size_t total_jobs_ = 0;
-    int workers_ = 1;
-    double t0_ = 0.0;
-    double ewma_seconds_ = 0.0;
-    std::uint64_t finished_ = 0;
-    /** Snapshot for the registry probes (filled by jobFinished). */
-    std::function<CampaignCounters()> counters_fn_;
-
-  public:
-    /** Provide the counters source for registerProbes gauges. */
-    void setCountersSource(std::function<CampaignCounters()> fn)
-    { counters_fn_ = std::move(fn); }
 };
 
 /**

@@ -101,48 +101,13 @@ TEST(ExecCampaign, JsonLinesByteIdenticalAcrossWorkerCounts)
     EXPECT_EQ(std::count(a.begin(), a.end(), '\n'), 4);
 }
 
-TEST(ExecCampaign, RegistersCountersInSession)
-{
-    trace::Session session;
-    {
-        exec::CampaignOptions opt;
-        opt.jobs = 2;
-        opt.session = &session;
-        exec::Campaign campaign(opt);
-        campaign.setRunner([](const exec::Job &, std::stop_token) {
-            return core::RunOutcome{};
-        });
-        for (int i = 0; i < 5; ++i)
-            campaign.add(exec::Job{"wknd", core::RunConfig{},
-                                   "job" + std::to_string(i)});
-        campaign.run();
-
-        const auto samples = session.registry().snapshot("exec.*");
-        ASSERT_FALSE(samples.empty());
-        double queued = -1, done = -1, failed = -1;
-        for (const auto &s : samples) {
-            if (s.name == "exec.jobs_queued")
-                queued = s.value;
-            else if (s.name == "exec.jobs_done")
-                done = s.value;
-            else if (s.name == "exec.jobs_failed")
-                failed = s.value;
-        }
-        EXPECT_EQ(queued, 5.0);
-        EXPECT_EQ(done, 5.0);
-        EXPECT_EQ(failed, 0.0);
-    }
-    // Probes are owner-tagged and dropped with the campaign.
-    EXPECT_TRUE(session.registry().snapshot("exec.*").empty());
-}
-
 TEST(ExecCampaign, ResultsKeepSubmissionOrder)
 {
     exec::CampaignOptions opt;
     opt.jobs = 4;
     exec::Campaign campaign(opt);
     // Later submissions finish first; the result vector must not.
-    campaign.setRunner([](const exec::Job &job, std::stop_token) {
+    campaign.setRunner([](const exec::Job &job) {
         const int idx = std::stoi(job.tag);
         std::this_thread::sleep_for(
             std::chrono::milliseconds((16 - idx) * 2));

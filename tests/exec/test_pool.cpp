@@ -1,8 +1,8 @@
 /**
  * @file
- * The pool half of `cooprt::exec`: work stealing under skewed job
+ * The pool half of `cooprt::exec`: load balancing under skewed job
  * sizes, per-job fault isolation (exception capture, retry budget)
- * and wall-clock timeouts. These tests inject a stub runner and
+ * and post-hoc wall-clock timeouts. These tests inject a stub runner and
  * never touch the simulator, so they are fast and run unchanged
  * under TSan (the CI `tsan` job exercises them).
  */
@@ -31,27 +31,28 @@ outcomeWithCycles(std::uint64_t cycles)
 
 TEST(ExecPool, StealsAcrossWorkersUnderSkew)
 {
-    // Two workers, round-robin deal: worker 0 gets the even-indexed
-    // jobs, worker 1 the odd ones. Job 0 pins worker 0 for ~150 ms
-    // while worker 1 drains its own short jobs, so worker 0's
-    // remaining queue must be stolen for the campaign to finish
-    // promptly.
+    // Job 0 pins one worker for ~150 ms while the other drains the
+    // short jobs from the shared cursor; every job must still
+    // complete exactly once, in its submission slot.
     exec::CampaignOptions opt;
     opt.jobs = 2;
     exec::Campaign campaign(opt);
-    campaign.setRunner([](const exec::Job &job, std::stop_token) {
+    campaign.setRunner([](const exec::Job &job) {
         std::this_thread::sleep_for(job.tag == "0" ? 150ms : 2ms);
-        return core::RunOutcome{};
+        return outcomeWithCycles(std::stoull(job.tag));
     });
     for (int i = 0; i < 12; ++i)
         campaign.add(
             exec::Job{"wknd", core::RunConfig{}, std::to_string(i)});
     const auto results = campaign.run();
     ASSERT_EQ(results.size(), 12u);
-    for (const auto &r : results)
-        EXPECT_TRUE(r.ok) << r.tag;
-    EXPECT_GT(campaign.stats().steals.load(), 0u);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_TRUE(results[i].ok) << results[i].tag;
+        EXPECT_EQ(results[i].attempts, 1) << results[i].tag;
+        EXPECT_EQ(results[i].outcome.gpu.cycles, i);
+    }
     EXPECT_EQ(campaign.stats().done.load(), 12u);
+    EXPECT_EQ(campaign.stats().failed.load(), 0u);
     EXPECT_EQ(campaign.stats().running.load(), 0u);
 }
 
@@ -60,7 +61,7 @@ TEST(ExecPool, ThrowingJobIsIsolated)
     exec::CampaignOptions opt;
     opt.jobs = 3;
     exec::Campaign campaign(opt);
-    campaign.setRunner([](const exec::Job &job, std::stop_token) {
+    campaign.setRunner([](const exec::Job &job) {
         if (job.tag == "boom")
             throw std::runtime_error("injected fault");
         return outcomeWithCycles(7);
@@ -90,7 +91,7 @@ TEST(ExecPool, RetryBudgetRecoversTransientFailures)
     exec::Campaign campaign(opt);
     std::atomic<int> flaky_attempts{0};
     campaign.setRunner(
-        [&flaky_attempts](const exec::Job &job, std::stop_token) {
+        [&flaky_attempts](const exec::Job &job) {
             if (job.tag == "flaky" && ++flaky_attempts <= 2)
                 throw std::runtime_error("transient");
             return outcomeWithCycles(11);
@@ -115,7 +116,7 @@ TEST(ExecPool, RetriesExhaustedReportsLastError)
     opt.retries = 2;
     exec::Campaign campaign(opt);
     campaign.setRunner(
-        [](const exec::Job &, std::stop_token) -> core::RunOutcome {
+        [](const exec::Job &) -> core::RunOutcome {
             throw std::runtime_error("always broken");
         });
     campaign.add(exec::Job{"wknd", core::RunConfig{}, "doomed"});
@@ -132,17 +133,18 @@ TEST(ExecPool, RetriesExhaustedReportsLastError)
 
 TEST(ExecPool, TimeoutFailsJobAndCampaignCompletes)
 {
+    // An attempt that overran its budget is a timeout however it
+    // ended: here the slow job throws once it is late, and still
+    // reports as Timeout (not Exception) without using its retries.
     exec::CampaignOptions opt;
     opt.jobs = 2;
     opt.retries = 3; // must NOT apply to timeouts
-    opt.timeout_s = 0.2;
+    opt.timeout_s = 0.1;
     exec::Campaign campaign(opt);
-    campaign.setRunner([](const exec::Job &job, std::stop_token st) {
+    campaign.setRunner([](const exec::Job &job) {
         if (job.tag == "slow") {
-            // Cooperative runner: poll the stop token the watchdog
-            // trips, bail out well before the 10 s worst case.
-            for (int i = 0; i < 10000 && !st.stop_requested(); ++i)
-                std::this_thread::sleep_for(1ms);
+            std::this_thread::sleep_for(250ms);
+            throw std::runtime_error("gave up late");
         }
         return outcomeWithCycles(3);
     });
@@ -159,9 +161,49 @@ TEST(ExecPool, TimeoutFailsJobAndCampaignCompletes)
     EXPECT_EQ(campaign.stats().timed_out.load(), 1u);
     EXPECT_EQ(campaign.stats().failed.load(), 1u);
     EXPECT_EQ(campaign.stats().retried.load(), 0u);
-    // The watchdog stopped the slow job cooperatively, so the whole
-    // campaign finished far inside the job's 10 s worst case.
-    EXPECT_LT(campaign.wallSeconds(), 5.0);
+    EXPECT_EQ(campaign.stats().running.load(), 0u);
+}
+
+TEST(ExecPool, OverrunningRunnerIsFailedAsTimeoutWhenItReturns)
+{
+    // The production path: the simulator never checks its budget, so
+    // a slow job runs to completion and is failed once it returns.
+    // Its outcome is discarded, it is not retried, and the jobs
+    // behind it on the same (only) worker still run.
+    exec::CampaignOptions opt;
+    opt.jobs = 1;
+    opt.retries = 2;
+    opt.timeout_s = 0.1;
+    exec::Campaign campaign(opt);
+    std::atomic<int> slow_calls{0};
+    campaign.setRunner([&slow_calls](const exec::Job &job) {
+        if (job.tag == "slow") {
+            ++slow_calls;
+            std::this_thread::sleep_for(250ms);
+        }
+        return outcomeWithCycles(5);
+    });
+    campaign.add(exec::Job{"wknd", core::RunConfig{}, "a"});
+    campaign.add(exec::Job{"wknd", core::RunConfig{}, "slow"});
+    campaign.add(exec::Job{"wknd", core::RunConfig{}, "b"});
+    campaign.add(exec::Job{"wknd", core::RunConfig{}, "c"});
+    const auto results = campaign.run();
+
+    ASSERT_EQ(results.size(), 4u);
+    const exec::JobResult &slow = results[1];
+    EXPECT_FALSE(slow.ok);
+    ASSERT_TRUE(slow.failure.has_value());
+    EXPECT_EQ(slow.failure->kind, exec::FailureKind::Timeout);
+    EXPECT_EQ(slow.attempts, 1);
+    EXPECT_EQ(slow_calls.load(), 1);
+    EXPECT_GT(slow.wall_seconds, opt.timeout_s);
+    for (std::size_t i : {0u, 2u, 3u}) {
+        EXPECT_TRUE(results[i].ok) << results[i].tag;
+        EXPECT_EQ(results[i].outcome.gpu.cycles, 5u);
+    }
+    EXPECT_EQ(campaign.stats().done.load(), 3u);
+    EXPECT_EQ(campaign.stats().timed_out.load(), 1u);
+    EXPECT_EQ(campaign.stats().retried.load(), 0u);
 }
 
 TEST(ExecPool, CompletionHookSeesEveryFinalResult)
@@ -176,7 +218,7 @@ TEST(ExecPool, CompletionHookSeesEveryFinalResult)
             ++failures;
     };
     exec::Campaign campaign(opt);
-    campaign.setRunner([](const exec::Job &job, std::stop_token) {
+    campaign.setRunner([](const exec::Job &job) {
         if (job.tag == "4")
             throw std::runtime_error("x");
         return core::RunOutcome{};

@@ -2,9 +2,8 @@
  * @file
  * Unit tests for `cooprt::telemetry`: RSS parsing, phase spans,
  * the run's sealed totals, the per-run JSON sink's
- * deterministic/host split, the campaign event log and monitor
- * (EWMA/ETA math, Prometheus exposition), the heartbeat thread, and
- * the event log driven by a real `exec::Campaign` with a fake
+ * deterministic/host split, the campaign event log, the heartbeat
+ * thread, and the event log driven by a real `exec::Campaign` with a fake
  * runner (conservation between job lines and campaign_end).
  */
 
@@ -202,69 +201,6 @@ TEST(EventLog, NullStreamDisablesEverything)
     log.campaignEnd({}, 0.0);
 }
 
-TEST(CampaignMonitor, EwmaAndEta)
-{
-    CampaignMonitor mon;
-    mon.begin(4, 2);
-    CampaignCounters c;
-    EXPECT_DOUBLE_EQ(mon.ewmaJobSeconds(), 0.0);
-    EXPECT_LT(mon.etaSeconds(c), 0.0); // unknown before a finish
-
-    mon.jobFinished(1.0); // first sample seeds the EWMA directly
-    EXPECT_DOUBLE_EQ(mon.ewmaJobSeconds(), 1.0);
-    mon.jobFinished(2.0); // alpha = 0.3
-    EXPECT_NEAR(mon.ewmaJobSeconds(), 0.3 * 2.0 + 0.7 * 1.0, 1e-12);
-
-    c.done = 2;
-    // remaining = 4 - 2 = 2, over 2 workers.
-    EXPECT_NEAR(mon.etaSeconds(c), 2.0 * 1.3 / 2.0, 1e-12);
-    c.failed = 1;
-    EXPECT_NEAR(mon.etaSeconds(c), 1.0 * 1.3 / 2.0, 1e-12);
-}
-
-TEST(CampaignMonitor, StatusLineMentionsProgress)
-{
-    CampaignMonitor mon;
-    mon.begin(10, 4);
-    mon.jobFinished(0.5);
-    CampaignCounters c;
-    c.done = 3;
-    c.failed = 1;
-    c.running = 4;
-    const std::string line = mon.statusLine(c);
-    EXPECT_NE(line.find("3/10 done"), std::string::npos) << line;
-    EXPECT_NE(line.find("1 failed"), std::string::npos) << line;
-    EXPECT_NE(line.find("eta"), std::string::npos) << line;
-}
-
-TEST(CampaignMonitor, PrometheusExposition)
-{
-    CampaignMonitor mon;
-    mon.begin(4, 2);
-    mon.jobFinished(0.25);
-    CampaignCounters c;
-    c.queued = 4;
-    c.done = 1;
-    c.running = 2;
-    c.steals = 3;
-    std::ostringstream os;
-    mon.writePrometheusTo(os, c);
-    const std::string text = os.str();
-    EXPECT_NE(text.find("# HELP cooprt_jobs_done"),
-              std::string::npos);
-    EXPECT_NE(text.find("# TYPE cooprt_jobs_done counter"),
-              std::string::npos);
-    EXPECT_NE(text.find("cooprt_jobs_done 1"), std::string::npos);
-    EXPECT_NE(text.find("cooprt_jobs_queued 4"), std::string::npos);
-    EXPECT_NE(text.find("cooprt_steals_total 3"),
-              std::string::npos);
-    EXPECT_NE(text.find("cooprt_job_seconds_ewma 0.25"),
-              std::string::npos);
-    EXPECT_NE(text.find("cooprt_build_info{revision="),
-              std::string::npos);
-    EXPECT_EQ(text.back(), '\n');
-}
-
 TEST(HeartbeatTest, BeatsAndStopsPromptly)
 {
     std::ostringstream os;
@@ -290,16 +226,14 @@ TEST(CampaignIntegration, EventLogConservation)
     for (int workers : {1, 4}) {
         std::ostringstream os;
         EventLog log(&os);
-        CampaignMonitor mon;
         exec::CampaignOptions opt;
         opt.jobs = workers;
         opt.event_log = &log;
-        opt.monitor = &mon;
         exec::Campaign campaign(opt);
         for (int i = 0; i < 6; ++i)
             campaign.add(exec::Job{"fake", {},
                                    "job" + std::to_string(i)});
-        campaign.setRunner([](const exec::Job &, std::stop_token) {
+        campaign.setRunner([](const exec::Job &) {
             core::RunOutcome out;
             out.gpu.cycles = 77;
             return out;
@@ -324,10 +258,7 @@ TEST(CampaignIntegration, EventLogConservation)
                            "\"failed\":0,"),
                   std::string::npos);
         EXPECT_NE(all.find("\"cycles\":77,"), std::string::npos);
-        EXPECT_DOUBLE_EQ(mon.etaSeconds(
-                             exec::countersSnapshot(
-                                 campaign.stats())),
-                         0.0);
+        EXPECT_EQ(campaign.stats().running.load(), 0u);
     }
 }
 

@@ -78,6 +78,7 @@ def main(argv: list[str]) -> int:
     expect([campaign, "--telemetry-log"], 2, "--telemetry-log")
     expect([campaign, "--heartbeat-s", "0"], 2, "--heartbeat-s")
     expect([campaign, "--heartbeat-s", "-0.5"], 2, "--heartbeat-s")
+    expect([campaign, "--prom-out", "x"], 2, "--prom-out")
     expect([campaign, "--resolution", "abc"], 2, "--resolution")
     expect([campaign, "--jobs", "two"], 2, "--jobs")
     expect([campaign, "--retries", "-1"], 2, "--retries")
@@ -104,6 +105,45 @@ def main(argv: list[str]) -> int:
                     f"{campaign} --json-out -: stdout line {i} is "
                     f"not JSON: {line[:120]!r}")
                 break
+
+    # The heartbeat beats on stderr: `--json` stdout stays one
+    # parseable JSON document. The run (~50 ms) spans several beats.
+    p = run([simulate, "--scene", "wknd", "--resolution", "64",
+             "--heartbeat-s", "0.01", "--json"])
+    if p.returncode != 0:
+        FAILURES.append(f"{simulate} --heartbeat-s 0.01 --json: exit "
+                        f"{p.returncode}\n    stderr: "
+                        f"{p.stderr.strip()[:200]}")
+    else:
+        try:
+            json.loads(p.stdout)
+        except json.JSONDecodeError as e:
+            FAILURES.append(f"{simulate} --heartbeat-s 0.01 --json: "
+                            f"stdout is not one JSON document ({e})")
+        if "[telemetry] wknd cycle" not in p.stderr:
+            FAILURES.append(f"{simulate} --heartbeat-s 0.01 --json: "
+                            f"no heartbeat line on stderr")
+
+    # --mobile swaps the GPU but keeps the traversal flags, in
+    # either order; a dropped --coop would show as baseline cycles.
+    cycles = {}
+    for flags in (("--coop", "--mobile"), ("--mobile", "--coop"),
+                  ("--mobile",)):
+        p = run([simulate, "--scene", "wknd", "--resolution", "16",
+                 *flags, "--json"])
+        if p.returncode != 0:
+            FAILURES.append(f"{simulate} {' '.join(flags)}: exit "
+                            f"{p.returncode}")
+            break
+        cycles[flags] = json.loads(p.stdout)["cycles"]
+    else:
+        coop_mobile, mobile_coop, mobile = cycles.values()
+        if coop_mobile != mobile_coop or coop_mobile == mobile:
+            FAILURES.append(
+                f"{simulate} wknd cycles: --coop --mobile "
+                f"{coop_mobile}, --mobile --coop {mobile_coop}, "
+                f"--mobile {mobile} (want the first two equal and "
+                f"unlike the third)")
 
     # bench binaries share bench_util's strict parser.
     expect([bench, "--no-such-flag"], 2, "unknown flag")

@@ -407,14 +407,8 @@ def metrics_cases(rows):
     yield "ragged row", lambda rows: rows[2].pop()
 
 
-def prom_cases(lines):
-    for prefix in ("# TYPE cooprt_jobs_done", "cooprt_build_info"):
-        yield f"no {prefix} line", lambda ls, p=prefix: ls.__setitem__(
-            slice(None), [l for l in ls if not l.startswith(p)])
-
-
 def stdout_cases(lines):
-    yield "heartbeat on stdout", lambda ls: ls.insert(1, "[campaign] 1/4")
+    yield "progress line on stdout", lambda ls: ls.insert(1, "[campaign] 1/4")
     yield "blank stdout line", lambda ls: ls.insert(1, "")
     yield "no stdout lines", lambda ls: ls.clear()
 
@@ -459,7 +453,6 @@ CORRUPTIONS = (
     ("memscope-metrics", "metrics.csv", "csv",
      lambda _: column_cases(("memscope.gpu.node_accesses",
                              "memscope.mem.line_l1")), (), ()),
-    ("telemetry-prom", "c.prom", "text", prom_cases, (), ()),
     ("campaign-stdout", "stdout1.jsonl", "text", stdout_cases, (), ()),
     # --identical: the pristine pair (two worker counts, or a copy)
     # agrees; every deterministic difference is rejected.
@@ -558,7 +551,7 @@ def generate(tmp: Path, sim: str, campaign: str, diff: str) -> None:
             "--resolution", "16", "--jobs", jobs,
             "--telemetry-dir", f"tel{jobs}",
             "--telemetry-log", f"ev{jobs}.jsonl",
-            "--memscope-dir", f"mem{jobs}", "--prom-out", "c.prom",
+            "--memscope-dir", f"mem{jobs}",
             "--json-out", "-", out=f"stdout{jobs}.jsonl")
 
 

@@ -578,15 +578,6 @@ def metrics_laws(rows: list, columns: tuple[str, ...]) -> str:
     return f"{len(header)} columns, {len(data)} samples"
 
 
-def prom_laws(text: str) -> str:
-    for prefix in ("# TYPE cooprt_jobs_done counter",
-                   "cooprt_build_info{revision="):
-        if not any(line.startswith(prefix)
-                   for line in text.splitlines()):
-            fail(f"no line starting {prefix!r}")
-    return f"{len(text.splitlines())} lines"
-
-
 def campaign_laws(lines: list) -> str:
     if not lines:
         fail("no JSON lines on stdout")
@@ -610,7 +601,6 @@ SINKS = {
                                "memscope.mem.line_l1"))),
     "telemetry": Sink(("json",), telemetry_laws, TELEMETRY),
     "telemetry-log": Sink(("jsonl",), telemetry_log_laws),
-    "telemetry-prom": Sink(("text",), prom_laws),
     "campaign-stdout": Sink(("jsonl",), campaign_laws),
     "diff": Sink(("jsonl",), diff_laws),
     "query": Sink(("jsonl",), query_laws),
@@ -763,15 +753,13 @@ def smoke_telemetry(s: Smoke) -> None:
     s.sim("--scene", "wknd", "--shader", "pt", "--resolution", "32",
           "--telemetry-out", "run.telemetry.json")
     s.check("telemetry", "run.telemetry.json")
-    # The heartbeat beats on stderr while stdout carries the lines.
+    # Progress lines go to stderr while stdout carries the lines.
     s.campaign(*GRID, "--jobs", "1", "--telemetry-dir", "tel1",
-               "--telemetry-log", "ev1.jsonl", "--heartbeat-s", "0.5",
-               "--prom-out", "cooprt.prom", "--json-out", "-",
+               "--telemetry-log", "ev1.jsonl", "--json-out", "-",
                out="stdout1.jsonl")
     s.campaign(*GRID, "--jobs", "4", "--telemetry-dir", "tel4",
                "--telemetry-log", "ev4.jsonl")
     s.check("campaign-stdout", "stdout1.jsonl")
-    s.check("telemetry-prom", "cooprt.prom")
     for log in ("ev1.jsonl", "ev4.jsonl"):
         s.check("telemetry-log", log)
     for sink in s.glob("tel1/*.telemetry.json"):
