@@ -6,6 +6,7 @@
  */
 
 #include <algorithm>
+#include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -154,6 +155,35 @@ TEST(TraceIntegration, MetricsCsvIsWellFormed)
         ++rows;
     }
     EXPECT_GT(rows, 0u);
+}
+
+TEST(TraceIntegration, MetricsCsvMatchesGolden)
+{
+    // Pins every column of the metrics CSV, byte for byte: the
+    // run-key stamp, the name-ordered header (rtunit, mem, gpu and
+    // the per-SM trace_latency columns) and each sampled row.
+    // Regenerate with:
+    //   simulate_cli --scene wknd --coop --resolution 32
+    //     --metrics tests/trace/golden/wknd32_pt_coop.metrics.csv
+    const core::Simulation &sim = core::simulationFor("wknd");
+    core::RunConfig cfg;
+    cfg.resolution = 32;
+    cfg.gpu.trace.coop = true;
+    trace::SessionOptions opt;
+    opt.metrics = true;
+    trace::Session session(opt);
+    cfg.trace_session = &session;
+    sim.run(cfg);
+
+    std::ostringstream got;
+    session.writeMetricsCsv(got);
+    const std::string path = std::string(COOPRT_TRACE_GOLDEN_DIR) +
+                             "/wknd32_pt_coop.metrics.csv";
+    std::ifstream gf(path);
+    ASSERT_TRUE(gf) << "missing golden file " << path;
+    std::stringstream want;
+    want << gf.rdbuf();
+    EXPECT_EQ(got.str(), want.str());
 }
 
 TEST(TraceIntegration, FilterRestrictsExportedData)
