@@ -380,13 +380,9 @@ main(int argc, char **argv)
                 scenes.push_back(l);
     }
 
-    // The diff engine's diff.* probes, printed with the summary when
-    // --diff-baseline is active; the Differ outlives the end-of-run
-    // registry snapshot below.
-    trace::Registry registry;
+    // The diff engine's counters, printed with the summary when
+    // --diff-baseline is active.
     diff::Differ differ;
-    if (!diff_baseline.empty())
-        differ.registerMetrics(registry);
 
     // Campaign telemetry: the event log streams lifecycle events as
     // JSON lines.
@@ -542,10 +538,12 @@ main(int argc, char **argv)
                  (unsigned long long)st.timed_out.load(),
                  (unsigned long long)st.retried.load(),
                  campaign.wallSeconds());
-    if (!diff_baseline.empty())
-        for (const auto &sample : registry.snapshot("diff.*"))
-            std::fprintf(stderr, "[campaign] %s = %.0f\n",
-                         sample.name.c_str(), sample.value);
+    if (!diff_baseline.empty()) {
+        std::fprintf(stderr, "[campaign] diff.comparisons = %llu\n",
+                     (unsigned long long)differ.comparisons());
+        std::fprintf(stderr, "[campaign] diff.key_mismatches = %llu\n",
+                     (unsigned long long)differ.keyMismatches());
+    }
 
     return st.failed.load() == 0 ? 0 : 1;
 }

@@ -13,7 +13,6 @@ ObserverSet::ObserverSet(ObserverRequest request, RunConfig &config)
           trace::SessionOptions &so = request.trace;
           so.events = so.events || !sinks_.trace.empty();
           so.metrics = so.metrics || !sinks_.metrics.empty();
-          so.metrics_interval = config.gpu.sample_interval;
           return so;
       }()),
       ray_(request.ray)

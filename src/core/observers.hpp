@@ -37,7 +37,7 @@ struct SinkPaths
  *  that writes it (trace → events, metrics → metric sampling). */
 struct ObserverRequest
 {
-    /** metrics_interval is taken from the run's GPU config. */
+    /** Metric rows follow the run's GPU sample_interval. */
     trace::SessionOptions trace;
     bool profiler = false;
     bool ray_recorder = false;

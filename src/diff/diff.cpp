@@ -853,15 +853,4 @@ Differ::compare(const RunRecord &base, const RunRecord &other,
     return mismatch.empty();
 }
 
-void
-Differ::registerMetrics(cooprt::trace::Registry &registry)
-{
-    registry.probe(
-        "diff.comparisons", [this] { return double(comparisons_); },
-        this);
-    registry.probe(
-        "diff.key_mismatches",
-        [this] { return double(key_mismatches_); }, this);
-}
-
 } // namespace cooprt::diff

@@ -51,7 +51,6 @@
 
 #include "diff/json_value.hpp"
 #include "trace/json.hpp"
-#include "trace/registry.hpp"
 
 namespace cooprt::core {
 struct RunOutcome;
@@ -308,8 +307,7 @@ std::string attributionSummary(const RunDiff &d);
 
 /**
  * Stateful wrapper used by the CLIs: counts comparisons and key
- * mismatches and exposes them as `diff.*` registry probes (owned by
- * src/diff/diff.cpp per the registry-authority table).
+ * mismatches.
  */
 class Differ
 {
@@ -324,9 +322,6 @@ class Differ
 
     std::uint64_t comparisons() const { return comparisons_; }
     std::uint64_t keyMismatches() const { return key_mismatches_; }
-
-    /** Register the engine's counters as `diff.*` probes. */
-    void registerMetrics(cooprt::trace::Registry &registry);
 
   private:
     std::uint64_t attempts_ = 0;

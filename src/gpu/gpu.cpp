@@ -69,8 +69,6 @@ Gpu::sampleActivity(std::uint64_t cycle)
     }
     if (total.total() == 0) {
         sampler_.skip(cycle); // nothing resident; no empty samples
-        if (metrics != nullptr)
-            metrics->skip(cycle);
         return;
     }
     sampler_.sample(cycle, total.busy, total.total());

@@ -84,7 +84,7 @@ RtUnit::attachTrace(cooprt::trace::Registry *registry,
         return;
 
     const std::string p = "rtunit.sm" + std::to_string(sm_id) + ".";
-    auto add = [&](const char *name, const std::uint64_t *src) {
+    auto add = [&](const std::string &name, const std::uint64_t *src) {
         registry->probe(p + name, [src] { return double(*src); },
                         this);
     };
@@ -107,7 +107,17 @@ RtUnit::attachTrace(cooprt::trace::Registry *registry,
     registry->probe(p + "responses.pending",
                     [this] { return double(responses_.size()); },
                     this);
-    latency_hist_ = &registry->histogram(p + "trace_latency");
+    // Warp trace latency (Fig. 14): every retired warp is one sample.
+    const std::string lat = "trace_latency.";
+    add(lat + "count", &stats_.retired_warps);
+    add(lat + "sum", &stats_.retired_trace_latency);
+    add(lat + "max", &stats_.max_trace_latency);
+    registry->probe(p + lat + "mean", [this] {
+        return stats_.retired_warps == 0
+                   ? 0.0
+                   : double(stats_.retired_trace_latency) /
+                         double(stats_.retired_warps);
+    }, this);
 }
 
 void
@@ -779,8 +789,6 @@ RtUnit::maybeRetire(int slot, std::uint64_t now)
     stats_.retired_trace_latency += lat;
     if (lat > stats_.max_trace_latency)
         stats_.max_trace_latency = lat;
-    if (latency_hist_ != nullptr)
-        latency_hist_->record(lat);
 
     for (RtObserver *o : obs_)
         o->onRetire(slot, now);

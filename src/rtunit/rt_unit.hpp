@@ -111,9 +111,7 @@ struct RtUnitStats
     std::uint64_t stale_pops = 0;     ///< pop-time min_thit discards
     std::uint64_t stack_overflows = 0;
     std::uint64_t retired_warps = 0;
-    // cooprt-lint: allow(stats-registered) sum of the trace_latency histogram
     std::uint64_t retired_trace_latency = 0; ///< sum of warp latencies
-    // cooprt-lint: allow(stats-registered) max of the trace_latency histogram
     std::uint64_t max_trace_latency = 0;
     std::uint64_t issue_cycles = 0;   ///< cycles that issued a fetch
     std::uint64_t prefetches = 0;     ///< child records prefetched
@@ -405,7 +403,6 @@ class RtUnit
     /** Observability hooks (all null/unused when tracing is off). */
     cooprt::trace::Registry *metrics_registry_ = nullptr;
     cooprt::trace::Tracer *tracer_ = nullptr;
-    cooprt::trace::Histogram *latency_hist_ = nullptr;
     int trace_pid_ = 0;
 
     std::vector<RtObserver *> obs_;

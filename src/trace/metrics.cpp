@@ -7,18 +7,9 @@
 namespace cooprt::trace {
 
 MetricsSampler::MetricsSampler(const Registry *registry,
-                               std::uint64_t interval,
                                std::string filter)
-    : registry_(registry), interval_(interval == 0 ? 1 : interval),
-      filter_(std::move(filter))
+    : registry_(registry), filter_(std::move(filter))
 {
-}
-
-void
-MetricsSampler::skip(std::uint64_t cycle)
-{
-    while (next_ <= cycle)
-        next_ += interval_;
 }
 
 void
@@ -47,9 +38,7 @@ MetricsSampler::sample(std::uint64_t cycle)
         recorded = cycles_.back(); // the sampler's clock stalls
     cycles_.push_back(recorded);
     rows_.push_back(std::move(row));
-    skip(cycle);
-    // Rows advance strictly in time and the next boundary is always
-    // in the future of the row just taken.
+    // Rows advance strictly in time.
     COOPRT_AUDIT("trace.metrics", "trace.metrics_monotone", cycle,
                  cycles_.size() < 2 ||
                      cycles_[cycles_.size() - 1] >
@@ -58,11 +47,6 @@ MetricsSampler::sample(std::uint64_t cycle)
                      std::to_string(cycles_.size() - 1) +
                      " at cycle " + std::to_string(cycles_.back()) +
                      " does not advance past the previous row");
-    COOPRT_AUDIT("trace.metrics", "trace.metrics_monotone", cycle,
-                 next_ > cycle,
-                 "next boundary " + std::to_string(next_) +
-                     " not past sampled cycle " +
-                     std::to_string(cycle));
 }
 
 std::vector<double>
@@ -98,7 +82,6 @@ MetricsSampler::writeCsv(std::ostream &os) const
 void
 MetricsSampler::reset()
 {
-    next_ = 0;
     columns_.clear();
     cycles_.clear();
     rows_.clear();

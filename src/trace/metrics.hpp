@@ -3,12 +3,12 @@
  * Periodic registry snapshots — the generalization of
  * `stats::ActivitySampler` to *every* registered metric.
  *
- * The GPU main loop drives the sampler at the same interval
- * boundaries as the activity sampler (paper Section 7.1's
- * AerialVision-style 500-cycle sampling), so the exported CSV
- * time-series powers Figs. 2 / 10 / 11 from the same data path.
- * Rows are value copies: the CSV can be written after the simulated
- * machine (and its registered probes) is gone.
+ * The sampler keeps no clock of its own: the GPU main loop calls
+ * sample() exactly when it samples the activity sampler (paper
+ * Section 7.1's AerialVision-style 500-cycle sampling), so the
+ * exported CSV time-series powers Figs. 2 / 10 / 11 from the same
+ * data path. Rows are value copies: the CSV can be written after the
+ * simulated machine (and its registered probes) is gone.
  */
 
 #ifndef COOPRT_TRACE_METRICS_HPP
@@ -24,10 +24,8 @@
 namespace cooprt::trace {
 
 /**
- * Fixed-interval registry sampler with the same boundary semantics
- * as `stats::ActivitySampler`: `nextDue()` is the next boundary,
- * `sample()`/`skip()` advance past the given cycle without
- * back-filling idle gaps.
+ * Registry row store: one row of values per sample() call, taken on
+ * the caller's boundaries. Rows must strictly advance in time.
  */
 class MetricsSampler
 {
@@ -35,21 +33,12 @@ class MetricsSampler
     /**
      * @param registry Snapshot source; must outlive the sampler's
      *                 sample() calls (rows themselves are copies).
-     * @param interval Sampling period in cycles.
      * @param filter   Column filter (see nameMatchesFilter).
      */
     explicit MetricsSampler(const Registry *registry,
-                            std::uint64_t interval = 500,
                             std::string filter = {});
 
-    std::uint64_t interval() const { return interval_; }
-    std::uint64_t nextDue() const { return next_; }
-    bool due(std::uint64_t cycle) const { return cycle >= next_; }
-
-    /** Advance boundaries past @p cycle without recording. */
-    void skip(std::uint64_t cycle);
-
-    /** Snapshot the registry at @p cycle and advance boundaries. */
+    /** Snapshot the registry as the row of @p cycle. */
     void sample(std::uint64_t cycle);
 
     std::size_t sampleCount() const { return cycles_.size(); }
@@ -72,14 +61,12 @@ class MetricsSampler
      */
     void writeCsv(std::ostream &os) const;
 
-    /** Drop samples and columns; boundaries restart at 0. */
+    /** Drop samples and columns. */
     void reset();
 
   private:
     const Registry *registry_;
-    std::uint64_t interval_;
     std::string filter_;
-    std::uint64_t next_ = 0;
     std::vector<std::string> columns_;
     std::vector<std::uint64_t> cycles_;
     std::vector<std::vector<double>> rows_;

@@ -1,8 +1,5 @@
 #include "trace/registry.hpp"
 
-#include <algorithm>
-#include <bit>
-
 namespace cooprt::trace {
 
 bool
@@ -31,24 +28,6 @@ nameMatchesFilter(std::string_view name, std::string_view filter)
     return false;
 }
 
-int
-Histogram::bucketOf(std::uint64_t value)
-{
-    return value == 0 ? 0 : std::bit_width(value);
-}
-
-std::uint64_t &
-Registry::counter(const std::string &name)
-{
-    return counters_[name]; // value-initialized to 0 on first use
-}
-
-Histogram &
-Registry::histogram(const std::string &name)
-{
-    return histograms_[name];
-}
-
 void
 Registry::probe(const std::string &name, Probe fn, const void *owner)
 {
@@ -71,48 +50,12 @@ Registry::unregisterOwner(const void *owner)
 std::vector<MetricSample>
 Registry::snapshot(std::string_view filter) const
 {
-    // The three maps are each name-sorted; merging them keeps the
-    // output sorted because histogram expansion suffixes only append
-    // to the histogram's own name.
     std::vector<MetricSample> out;
-    out.reserve(counters_.size() + 4 * histograms_.size() +
-                probes_.size());
-    for (const auto &[name, value] : counters_)
-        if (nameMatchesFilter(name, filter))
-            out.push_back({name, double(value)});
-    for (const auto &[name, h] : histograms_) {
-        if (!nameMatchesFilter(name, filter))
-            continue;
-        out.push_back({name + ".count", double(h.count())});
-        out.push_back({name + ".max", double(h.max())});
-        out.push_back({name + ".mean", h.mean()});
-        out.push_back({name + ".sum", double(h.sum())});
-    }
+    out.reserve(probes_.size());
     for (const auto &[name, p] : probes_)
         if (nameMatchesFilter(name, filter))
             out.push_back({name, p.fn ? p.fn() : 0.0});
-    std::sort(out.begin(), out.end(),
-              [](const MetricSample &a, const MetricSample &b) {
-                  return a.name < b.name;
-              });
     return out;
-}
-
-std::vector<std::string>
-Registry::names(std::string_view filter) const
-{
-    std::vector<std::string> out;
-    for (const auto &s : snapshot(filter))
-        out.push_back(s.name);
-    return out;
-}
-
-void
-Registry::clear()
-{
-    counters_.clear();
-    histograms_.clear();
-    probes_.clear();
 }
 
 } // namespace cooprt::trace

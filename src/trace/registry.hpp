@@ -8,19 +8,16 @@
  *
  *     reg.probe("rtunit.sm0.node_fetches",
  *               [this] { return double(stats_.node_fetches); }, this);
- *     auto &h = reg.histogram("rtunit.sm0.trace_latency");
  *
  * and the simulator (or any tool) takes named snapshots of the whole
  * registry — optionally restricted by a filter such as `rtunit.*` —
  * at sampling boundaries. Snapshots are value copies, so they stay
  * valid after the components (and their probes) are gone.
  *
- * Three metric kinds:
- *  - owned counters: `std::uint64_t` slots the registry stores;
- *  - owned histograms: log2-bucketed value distributions;
- *  - probes: callbacks reading a component's live state (existing
- *    stats structs stay the public API; the registry is the uniform
- *    enumeration layer over them).
+ * Every metric is a probe: a callback reading a component's live
+ * state (existing stats structs stay the public API; the registry is
+ * the uniform enumeration layer over them). A derived quantity, such
+ * as a mean, is a probe that computes it from those fields.
  *
  * Probes are tagged with an owner token so a component's destructor
  * can drop its registrations (`unregisterOwner`); re-registering an
@@ -31,8 +28,7 @@
 #ifndef COOPRT_TRACE_REGISTRY_HPP
 #define COOPRT_TRACE_REGISTRY_HPP
 
-#include <array>
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <map>
 #include <string>
@@ -48,54 +44,6 @@ namespace cooprt::trace {
  * matches everything.
  */
 bool nameMatchesFilter(std::string_view name, std::string_view filter);
-
-/**
- * A log2-bucketed histogram of unsigned samples: bucket 0 counts
- * value 0, bucket i counts values in [2^(i-1), 2^i). Cheap enough to
- * record on retire-grade paths (one bit_width + three adds).
- */
-class Histogram
-{
-  public:
-    static constexpr int kBuckets = 65;
-
-    void
-    record(std::uint64_t value)
-    {
-        count_++;
-        sum_ += value;
-        if (value > max_)
-            max_ = value;
-        buckets_[std::size_t(bucketOf(value))]++;
-    }
-
-    /** Bucket index of @p value (0 for 0, else bit_width). */
-    static int bucketOf(std::uint64_t value);
-
-    std::uint64_t count() const { return count_; }
-    std::uint64_t sum() const { return sum_; }
-    std::uint64_t max() const { return max_; }
-    double
-    mean() const
-    {
-        return count_ == 0 ? 0.0 : double(sum_) / double(count_);
-    }
-    const std::array<std::uint64_t, kBuckets> &buckets() const
-    { return buckets_; }
-
-    void
-    reset()
-    {
-        count_ = sum_ = max_ = 0;
-        buckets_.fill(0);
-    }
-
-  private:
-    std::uint64_t count_ = 0;
-    std::uint64_t sum_ = 0;
-    std::uint64_t max_ = 0;
-    std::array<std::uint64_t, kBuckets> buckets_{};
-};
 
 /** One (name, value) pair of a registry snapshot. */
 struct MetricSample
@@ -115,15 +63,6 @@ class Registry
     using Probe = std::function<double()>;
 
     /**
-     * The owned counter slot for @p name, created on first use.
-     * References stay valid for the registry's lifetime.
-     */
-    std::uint64_t &counter(const std::string &name);
-
-    /** The owned histogram for @p name, created on first use. */
-    Histogram &histogram(const std::string &name);
-
-    /**
      * Register (or overwrite) a probe under @p name. @p owner tags
      * the registration for `unregisterOwner`; pass the registering
      * component so its destructor can clean up.
@@ -134,21 +73,12 @@ class Registry
     /** Drop every probe registered with @p owner. */
     void unregisterOwner(const void *owner);
 
-    /**
-     * Snapshot every metric whose name matches @p filter, sorted by
-     * name. Histograms expand into `<name>.count`, `<name>.sum`,
-     * `<name>.mean` and `<name>.max` entries.
-     */
+    /** Snapshot every probe whose name matches @p filter, sorted by
+     *  name. */
     std::vector<MetricSample> snapshot(std::string_view filter = {}) const;
 
-    /** The names a snapshot with @p filter would contain, sorted. */
-    std::vector<std::string> names(std::string_view filter = {}) const;
-
-    /** Registered metric count (histograms count once). */
-    std::size_t size() const
-    { return counters_.size() + histograms_.size() + probes_.size(); }
-
-    void clear();
+    /** Registered probe count. */
+    std::size_t size() const { return probes_.size(); }
 
   private:
     struct ProbeEntry
@@ -157,9 +87,7 @@ class Registry
         const void *owner = nullptr;
     };
 
-    std::map<std::string, std::uint64_t> counters_;
-    std::map<std::string, Histogram> histograms_;
-    std::map<std::string, ProbeEntry> probes_;
+    std::map<std::string, ProbeEntry> probes_; // iterates name-sorted
 };
 
 } // namespace cooprt::trace

@@ -11,8 +11,8 @@ Session::Session(const SessionOptions &options) : options_(options)
         tracer_->setFilter(options_.filter);
     }
     if (options_.metrics)
-        metrics_ = std::make_unique<MetricsSampler>(
-            &registry_, options_.metrics_interval, options_.filter);
+        metrics_ = std::make_unique<MetricsSampler>(&registry_,
+                                                    options_.filter);
 }
 
 RunTraceSummary

@@ -55,7 +55,11 @@ struct SessionOptions
     bool metrics = false;
     /** Ring capacity in events (~48 B each). */
     std::size_t ring_capacity = Tracer::kDefaultCapacity;
-    /** Metrics sampling interval in cycles (paper: 500). */
+    /**
+     * Unused: metric rows are taken on the GPU's activity-sampling
+     * boundaries (`GpuConfig::sample_interval`). Kept only for
+     * callers that still assign it.
+     */
     std::uint64_t metrics_interval = 500;
     /**
      * Filter (see nameMatchesFilter) applied to exported events and

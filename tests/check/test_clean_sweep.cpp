@@ -64,8 +64,8 @@ TEST(CleanSweepExtra, OtherShadersAndTracingStaySilent)
     // A session with metrics sampling exercises the sampler audits.
     trace::SessionOptions opt;
     opt.metrics = true;
-    opt.metrics_interval = 100;
     trace::Session session(opt);
+    cfg.gpu.sample_interval = 100;
     cfg.shader = core::ShaderKind::PathTracing;
     cfg.trace_session = &session;
     const auto out = core::simulationFor("wknd").run(cfg);

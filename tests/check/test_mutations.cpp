@@ -203,7 +203,7 @@ TEST_F(MutationTest, MetricsCycleRepeat)
     expectCaught(check::Mutation::MetricsCycleRepeat,
                  "trace.metrics_monotone", [] {
                      trace::Registry registry;
-                     trace::MetricsSampler sampler(&registry, 500);
+                     trace::MetricsSampler sampler(&registry);
                      sampler.sample(100);
                      sampler.sample(600); // recorded as 100 again
                  });

@@ -87,6 +87,7 @@ TEST_P(Determinism, ObservabilitySessionPerturbsNothing)
     core::RunConfig cfg;
     cfg.resolution = 24;
     cfg.gpu.trace.coop = GetParam();
+    cfg.gpu.sample_interval = 100; // five metric rows per 500 cycles
 
     const core::Simulation &sim = core::simulationFor("wknd");
     const auto plain = sim.run(cfg);
@@ -94,7 +95,6 @@ TEST_P(Determinism, ObservabilitySessionPerturbsNothing)
     trace::SessionOptions opt;
     opt.events = true;
     opt.metrics = true;
-    opt.metrics_interval = 100;
     trace::Session session(opt);
     cfg.trace_session = &session;
     const auto traced = sim.run(cfg);

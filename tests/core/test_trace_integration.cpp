@@ -223,10 +223,16 @@ TEST(TraceIntegration, SessionIsReusableAcrossRuns)
     cfg.trace_session = &session;
     const core::RunOutcome a = sim.run(cfg);
     const std::uint64_t first = a.traceSummary().metric_samples;
+    std::ostringstream csv_a;
+    session.writeMetricsCsv(csv_a);
     const core::RunOutcome b = sim.run(cfg);
-    // Data restarts per run instead of accumulating.
+    // Data restarts per run instead of accumulating: every metric
+    // column, the trace_latency ones included, reads the same.
     EXPECT_EQ(b.traceSummary().metric_samples, first);
     EXPECT_EQ(a.gpu.cycles, b.gpu.cycles);
+    std::ostringstream csv_b;
+    session.writeMetricsCsv(csv_b);
+    EXPECT_EQ(csv_a.str(), csv_b.str());
 }
 
 TEST(TraceIntegration, MetricsOnlySessionRecordsNoEvents)

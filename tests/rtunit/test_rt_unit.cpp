@@ -4,10 +4,14 @@
  * CoopRT mechanics: coalescing, warp buffer, LBU, timelines).
  */
 
+#include <algorithm>
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "raytrace/raytrace.hpp"
 #include "rtunit_test_util.hpp"
+#include "trace/registry.hpp"
 
 namespace {
 
@@ -47,6 +51,48 @@ TEST(RtUnit, StatsAccumulateSumsAndMaxLatency)
     EXPECT_EQ(a.retired_trace_latency, 180u);
     EXPECT_EQ(a.max_trace_latency, 60u);
     EXPECT_EQ(a.hit_stores, 2u);
+}
+
+/** Value of @p name in @p reg's snapshot (NaN when absent). */
+double
+probeValue(const trace::Registry &reg, const std::string &name)
+{
+    for (const auto &s : reg.snapshot())
+        if (s.name == name)
+            return s.value;
+    ADD_FAILURE() << "metric not in snapshot: " << name;
+    return std::nan("");
+}
+
+TEST(RtUnit, TraceLatencyMeanIsZeroBeforeAnyRetire)
+{
+    trace::Registry reg;
+    RtHarness h(makeSoup(1, 200), TraceConfig{});
+    h.unit.attachTrace(&reg, nullptr, 0);
+    EXPECT_EQ(probeValue(reg, "rtunit.sm0.trace_latency.count"), 0.0);
+    EXPECT_EQ(probeValue(reg, "rtunit.sm0.trace_latency.mean"), 0.0);
+}
+
+TEST(RtUnit, TraceLatencyProbesTrackCountSumMaxMean)
+{
+    // Every retired warp is one trace_latency sample; the four
+    // probes read the unit's own retire counters.
+    trace::Registry reg;
+    RtHarness h(makeSoup(3, 800), TraceConfig{});
+    h.unit.attachTrace(&reg, nullptr, 2);
+    std::uint64_t sum = 0, max = 0;
+    const TraceJob jobs[] = {TraceJob{}, frontalJob(1), frontalJob(8)};
+    for (const TraceJob &job : jobs) {
+        const std::uint64_t lat = h.runOne(job).latency();
+        sum += lat;
+        max = std::max(max, lat);
+    }
+    ASSERT_GT(sum, 0u);
+    const std::string p = "rtunit.sm2.trace_latency.";
+    EXPECT_EQ(probeValue(reg, p + "count"), 3.0);
+    EXPECT_EQ(probeValue(reg, p + "sum"), double(sum));
+    EXPECT_EQ(probeValue(reg, p + "max"), double(max));
+    EXPECT_DOUBLE_EQ(probeValue(reg, p + "mean"), double(sum) / 3.0);
 }
 
 TEST(RtUnit, AllRaysMissSceneBoxRetiresWithoutFetch)

@@ -1,76 +1,34 @@
 /**
  * @file
- * Tests for the periodic registry sampler: boundary semantics
- * (matching stats::ActivitySampler), column fixing, filtering and
- * CSV export.
+ * Tests for the registry row store: column fixing, filtering, CSV
+ * export and value-copy rows. Its boundaries are the caller's (the
+ * GPU's activity-sampling clock; see TraceIntegration).
  */
 
 #include <sstream>
 
 #include <gtest/gtest.h>
 
-#include "stats/sampler.hpp"
 #include "trace/metrics.hpp"
 #include "trace/registry.hpp"
 
 namespace {
 
-using cooprt::stats::ActivitySampler;
 using cooprt::trace::MetricsSampler;
 using cooprt::trace::Registry;
-
-TEST(MetricsSampler, DueAtStartAndAdvances)
-{
-    Registry reg;
-    MetricsSampler m(&reg, 500);
-    EXPECT_TRUE(m.due(0));
-    m.sample(0);
-    EXPECT_FALSE(m.due(499));
-    EXPECT_TRUE(m.due(500));
-    EXPECT_EQ(m.nextDue(), 500u);
-}
-
-TEST(MetricsSampler, SkipAdvancesWithoutRecording)
-{
-    Registry reg;
-    MetricsSampler m(&reg, 500);
-    m.skip(0);
-    EXPECT_EQ(m.sampleCount(), 0u);
-    EXPECT_EQ(m.nextDue(), 500u);
-    m.skip(1700); // advances past idle gap, no back-filling
-    EXPECT_EQ(m.nextDue(), 2000u);
-}
-
-TEST(MetricsSampler, BoundariesMatchActivitySampler)
-{
-    // The acceptance criterion behind `--metrics`: driven on the
-    // same cycles, both samplers agree on every boundary decision.
-    Registry reg;
-    ActivitySampler a(500);
-    MetricsSampler m(&reg, 500);
-    const std::uint64_t cycles[] = {0, 500, 5000, 5500, 9999, 10000};
-    for (std::uint64_t c : cycles) {
-        ASSERT_EQ(a.due(c), m.due(c)) << "cycle " << c;
-        if (!a.due(c))
-            continue;
-        a.sample(c, 1, 2);
-        m.sample(c);
-        ASSERT_EQ(a.nextDue(), m.nextDue()) << "cycle " << c;
-    }
-    EXPECT_EQ(a.sampleCount(), m.sampleCount());
-}
 
 TEST(MetricsSampler, ColumnsFixedAtFirstSample)
 {
     Registry reg;
-    reg.counter("a") = 1;
-    MetricsSampler m(&reg, 100);
+    double a = 1;
+    reg.probe("a", [&a] { return a; });
+    MetricsSampler m(&reg);
     m.sample(0);
     ASSERT_EQ(m.columns().size(), 1u);
     // A metric registered after the first sample is not a column;
     // existing columns keep collecting.
-    reg.counter("b") = 2;
-    reg.counter("a") = 3;
+    reg.probe("b", [] { return 2.0; });
+    a = 3;
     m.sample(100);
     ASSERT_EQ(m.columns().size(), 1u);
     EXPECT_EQ(m.columns()[0], "a");
@@ -82,8 +40,9 @@ TEST(MetricsSampler, ColumnsFixedAtFirstSample)
 TEST(MetricsSampler, SeriesOfReturnsOneColumn)
 {
     Registry reg;
-    std::uint64_t &c = reg.counter("rtunit.sm0.steals");
-    MetricsSampler m(&reg, 100);
+    std::uint64_t c = 0;
+    reg.probe("rtunit.sm0.steals", [&c] { return double(c); });
+    MetricsSampler m(&reg);
     c = 1;
     m.sample(0);
     c = 4;
@@ -98,9 +57,9 @@ TEST(MetricsSampler, SeriesOfReturnsOneColumn)
 TEST(MetricsSampler, FilterRestrictsColumns)
 {
     Registry reg;
-    reg.counter("rtunit.sm0.steals") = 1;
-    reg.counter("mem.l2.misses") = 2;
-    MetricsSampler m(&reg, 100, "mem.*");
+    reg.probe("rtunit.sm0.steals", [] { return 1.0; });
+    reg.probe("mem.l2.misses", [] { return 2.0; });
+    MetricsSampler m(&reg, "mem.*");
     m.sample(0);
     ASSERT_EQ(m.columns().size(), 1u);
     EXPECT_EQ(m.columns()[0], "mem.l2.misses");
@@ -109,8 +68,9 @@ TEST(MetricsSampler, FilterRestrictsColumns)
 TEST(MetricsSampler, CsvHasHeaderAndOneRowPerSample)
 {
     Registry reg;
-    std::uint64_t &c = reg.counter("m");
-    MetricsSampler m(&reg, 500);
+    std::uint64_t c = 0;
+    reg.probe("m", [&c] { return double(c); });
+    MetricsSampler m(&reg);
     c = 10;
     m.sample(0);
     c = 20;
@@ -129,38 +89,26 @@ TEST(MetricsSampler, CsvHasHeaderAndOneRowPerSample)
     EXPECT_FALSE(std::getline(lines, line));
 }
 
-TEST(MetricsSampler, ResetRestartsBoundariesAndDropsData)
+TEST(MetricsSampler, ResetDropsData)
 {
     Registry reg;
-    reg.counter("m") = 1;
-    MetricsSampler m(&reg, 100);
-    m.sample(0);
+    reg.probe("m", [] { return 1.0; });
+    MetricsSampler m(&reg);
+    m.sample(500);
     m.reset();
     EXPECT_EQ(m.sampleCount(), 0u);
     EXPECT_TRUE(m.columns().empty());
-    EXPECT_TRUE(m.due(0));
-    EXPECT_EQ(m.nextDue(), 0u);
-}
-
-TEST(MetricsSampler, IntervalOneSamplesEveryCycle)
-{
-    Registry reg;
-    reg.counter("m") = 1;
-    MetricsSampler m(&reg, 1);
-    for (std::uint64_t c = 0; c < 5; ++c) {
-        ASSERT_TRUE(m.due(c));
-        m.sample(c);
-        ASSERT_FALSE(m.due(c));
-        ASSERT_EQ(m.nextDue(), c + 1);
-    }
-    EXPECT_EQ(m.sampleCount(), 5u);
+    // A new run's rows may start over at any cycle.
+    m.sample(500);
+    EXPECT_EQ(m.sampleCount(), 1u);
+    EXPECT_EQ(m.cycleAt(0), 500u);
 }
 
 TEST(MetricsSampler, RowsSurviveRegistryMutation)
 {
     // Rows are value copies: exporting after probes die must work.
     Registry reg;
-    MetricsSampler m(&reg, 100);
+    MetricsSampler m(&reg);
     {
         int live = 5;
         reg.probe("p", [&live] { return double(live); }, &live);

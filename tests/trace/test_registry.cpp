@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the metric registry: counters, probes, histograms,
- * filter matching, owner unregistration and snapshots.
+ * Tests for the metric registry: probes, filter matching, owner
+ * unregistration and snapshots.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 
 namespace {
 
-using cooprt::trace::Histogram;
 using cooprt::trace::MetricSample;
 using cooprt::trace::nameMatchesFilter;
 using cooprt::trace::Registry;
@@ -56,16 +55,6 @@ TEST(NameFilter, CommaSeparatedListMatchesAnyPattern)
     EXPECT_FALSE(nameMatchesFilter("mem.l1.misses", f));
 }
 
-TEST(Registry, CounterSlotsAreStableAndShared)
-{
-    Registry reg;
-    std::uint64_t &c = reg.counter("gpu.cycles");
-    c = 41;
-    reg.counter("gpu.cycles")++;
-    EXPECT_EQ(c, 42u);
-    EXPECT_EQ(reg.size(), 1u);
-}
-
 TEST(Registry, ProbesReadLiveState)
 {
     Registry reg;
@@ -96,16 +85,16 @@ TEST(Registry, UnregisterOwnerDropsOnlyThatOwnersProbes)
     reg.probe("owned.b", [] { return 2.0; }, &a);
     reg.probe("kept.c", [] { return 3.0; }, &b);
     reg.unregisterOwner(&a);
-    const auto names = reg.names();
-    ASSERT_EQ(names.size(), 1u);
-    EXPECT_EQ(names[0], "kept.c");
+    const auto snap = reg.snapshot();
+    ASSERT_EQ(snap.size(), 1u);
+    EXPECT_EQ(snap[0].name, "kept.c");
 }
 
 TEST(Registry, SnapshotIsSortedByName)
 {
     Registry reg;
-    reg.counter("z.last") = 1;
-    reg.counter("a.first") = 2;
+    reg.probe("z.last", [] { return 1.0; });
+    reg.probe("a.first", [] { return 2.0; });
     reg.probe("m.middle", [] { return 3.0; });
     const auto snap = reg.snapshot();
     ASSERT_EQ(snap.size(), 3u);
@@ -117,72 +106,12 @@ TEST(Registry, SnapshotIsSortedByName)
 TEST(Registry, SnapshotHonorsFilter)
 {
     Registry reg;
-    reg.counter("rtunit.sm0.steals") = 5;
-    reg.counter("mem.l2.misses") = 6;
+    reg.probe("rtunit.sm0.steals", [] { return 5.0; });
+    reg.probe("mem.l2.misses", [] { return 6.0; });
     const auto snap = reg.snapshot("rtunit.*");
     ASSERT_EQ(snap.size(), 1u);
     EXPECT_EQ(snap[0].name, "rtunit.sm0.steals");
     EXPECT_DOUBLE_EQ(snap[0].value, 5.0);
-}
-
-TEST(Registry, ClearEmptiesEverything)
-{
-    Registry reg;
-    reg.counter("c") = 1;
-    reg.histogram("h").record(2);
-    reg.probe("p", [] { return 3.0; });
-    reg.clear();
-    EXPECT_EQ(reg.size(), 0u);
-    EXPECT_TRUE(reg.snapshot().empty());
-}
-
-TEST(Histogram, BucketOfIsLog2)
-{
-    EXPECT_EQ(Histogram::bucketOf(0), 0);
-    EXPECT_EQ(Histogram::bucketOf(1), 1);
-    EXPECT_EQ(Histogram::bucketOf(2), 2);
-    EXPECT_EQ(Histogram::bucketOf(3), 2);
-    EXPECT_EQ(Histogram::bucketOf(4), 3);
-    EXPECT_EQ(Histogram::bucketOf(1023), 10);
-    EXPECT_EQ(Histogram::bucketOf(1024), 11);
-    EXPECT_EQ(Histogram::bucketOf(~std::uint64_t(0)), 64);
-}
-
-TEST(Histogram, TracksCountSumMaxMean)
-{
-    Histogram h;
-    h.record(0);
-    h.record(10);
-    h.record(30);
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_EQ(h.sum(), 40u);
-    EXPECT_EQ(h.max(), 30u);
-    EXPECT_DOUBLE_EQ(h.mean(), 40.0 / 3.0);
-    EXPECT_EQ(h.buckets()[0], 1u);
-    EXPECT_EQ(h.buckets()[std::size_t(Histogram::bucketOf(10))], 1u);
-}
-
-TEST(Histogram, EmptyMeanIsZero)
-{
-    Histogram h;
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(Registry, HistogramsExpandInSnapshots)
-{
-    Registry reg;
-    Histogram &h = reg.histogram("rtunit.sm0.trace_latency");
-    h.record(100);
-    h.record(300);
-    const auto snap = reg.snapshot();
-    EXPECT_DOUBLE_EQ(
-        valueOf(snap, "rtunit.sm0.trace_latency.count"), 2.0);
-    EXPECT_DOUBLE_EQ(
-        valueOf(snap, "rtunit.sm0.trace_latency.sum"), 400.0);
-    EXPECT_DOUBLE_EQ(
-        valueOf(snap, "rtunit.sm0.trace_latency.max"), 300.0);
-    EXPECT_DOUBLE_EQ(
-        valueOf(snap, "rtunit.sm0.trace_latency.mean"), 200.0);
 }
 
 } // namespace

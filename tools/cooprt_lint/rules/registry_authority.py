@@ -48,7 +48,6 @@ _AUTHORITY_FILES = {
     "exec.": "src/exec/exec.cpp",
     "telemetry.": "src/telemetry/telemetry.cpp",
     "query.": "src/query/query.cpp",
-    "diff.": "src/diff/diff.cpp",
 }
 
 #: Families whose literal names must each be documented exactly.

@@ -4,12 +4,13 @@ Every ``std::uint64_t`` counter of the simulator's stats structs must
 be observable through the ``cooprt::trace`` registry, so metric CSVs
 and Chrome traces never silently lag behind a newly added counter.
 Each row of ``STATS`` names a struct, the file defining it, the file
-registering it, and a pattern capturing the registered field names.
-An unregistered field is a finding at its declaration. A counter
-whose information reaches the registry through another channel (a
-histogram, say) takes an inline allow() naming that channel; an
-allow() on a field that is registered after all is reported as an
-unused suppression.
+registering it, and a pattern capturing the registered field names:
+the field a probe reads where the registration takes its address
+(``add(name, &stats_.<field>)``), else the probe's name. An
+unregistered field is a finding at its declaration. A counter whose
+information reaches the registry through another channel takes an
+inline allow() naming that channel; an allow() on a field that is
+registered after all is reported as an unused suppression.
 
 Rows whose files are absent from the linted tree are skipped (fixture
 mini-repos hold one or two); the self-test pins that every row
@@ -22,13 +23,13 @@ import re
 
 from model import Project, Rule
 
-#: (struct, defining header, registering source, registered-name
-#: pattern, field prefix the registered name drops).
+#: (struct, defining header, registering source, registered-field
+#: pattern, field prefix the captured name drops).
 STATS = (
     ("RtUnitStats", "src/rtunit/rt_unit.hpp", "src/rtunit/rt_unit.cpp",
-     r'add\("(\w+)",\s*&stats_\.\w+\)', ""),
+     r'add\([^;]*?&stats_\.(\w+)\)', ""),
     ("CacheStats", "src/mem/cache.hpp", "src/mem/cache.cpp",
-     r'add\("(\w+)",\s*&s->\w+\)', ""),
+     r'add\([^;]*?&s->(\w+)\)', ""),
     ("DramStats", "src/mem/dram.hpp", "src/mem/memory_system.cpp",
      r'registry\.probe\("mem\.dram\.(\w+)"', ""),
     ("MemSystemStats", "src/mem/memory_system.hpp",
