@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -93,6 +95,28 @@ TEST(RtUnit, TraceLatencyProbesTrackCountSumMaxMean)
     EXPECT_EQ(probeValue(reg, p + "sum"), double(sum));
     EXPECT_EQ(probeValue(reg, p + "max"), double(max));
     EXPECT_DOUBLE_EQ(probeValue(reg, p + "mean"), double(sum) / 3.0);
+}
+
+TEST(RtUnit, TraceLatencyProbesExpandInSnapshots)
+{
+    // Each attached unit adds exactly four trace_latency names under
+    // its own SM index, listed in name order in the snapshot.
+    trace::Registry reg;
+    RtHarness a(makeSoup(1, 200), TraceConfig{});
+    RtHarness b(makeSoup(1, 200), TraceConfig{});
+    a.unit.attachTrace(&reg, nullptr, 0);
+    b.unit.attachTrace(&reg, nullptr, 1);
+    std::vector<std::string> names;
+    for (const auto &s : reg.snapshot())
+        if (s.name.find(".trace_latency.") != std::string::npos)
+            names.push_back(s.name);
+    const std::vector<std::string> want = {
+        "rtunit.sm0.trace_latency.count", "rtunit.sm0.trace_latency.max",
+        "rtunit.sm0.trace_latency.mean",  "rtunit.sm0.trace_latency.sum",
+        "rtunit.sm1.trace_latency.count", "rtunit.sm1.trace_latency.max",
+        "rtunit.sm1.trace_latency.mean",  "rtunit.sm1.trace_latency.sum",
+    };
+    EXPECT_EQ(names, want);
 }
 
 TEST(RtUnit, AllRaysMissSceneBoxRetiresWithoutFetch)
