@@ -10,7 +10,6 @@ StreamingMultiprocessor::StreamingMultiprocessor(
     : sm_id_(sm_id), cfg_(cfg),
       rt_(bvh, mesh, cfg.trace, std::move(fetch))
 {
-    (void)sm_id_;
 #if COOPRT_CHECK_ENABLED
     check_label_ = "sm" + std::to_string(sm_id_);
     rt_.setCheckLabel("rtunit.sm" + std::to_string(sm_id_));

@@ -126,7 +126,6 @@ class StreamingMultiprocessor
     std::vector<WarpCompletion> completions_;
     /** Warps currently inside the RT unit (for done()). */
     int in_trace_ = 0;
-    std::uint64_t retire_bonus_events_ = 0;
 
 #if COOPRT_CHECK_ENABLED
     /** End-of-tick conservation audits (DESIGN.md catalogue). */

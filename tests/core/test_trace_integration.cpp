@@ -100,6 +100,7 @@ TEST(TraceIntegration, ChromeTraceExportIsValidAndPopulated)
     // Counter track for the sampled utilization.
     EXPECT_NE(json.find("\"name\":\"thread_utilization\""),
               std::string::npos);
+    EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
 }
 
 TEST(TraceIntegration, MetricsCsvMatchesActivitySampler)

@@ -131,6 +131,27 @@ TEST(Diff, BucketDeltasConserveBitExactly)
         if (nd.name != "warp_buffer_full")
             sum += nd.d.delta();
     EXPECT_EQ(sum, d.resident_cycles.delta());
+
+    // The memscope deltas conserve the same way: serving-level
+    // deltas and depth-row deltas each sum to the node-fetch delta,
+    // over depths in strictly ascending order.
+    ASSERT_TRUE(d.has_memscope);
+    const auto levelSum = [](const auto &level) {
+        return level[0].delta() + level[1].delta() + level[2].delta();
+    };
+    EXPECT_EQ(levelSum(d.node_level), d.node_accesses.delta());
+    std::int64_t accesses = 0, bytes = 0;
+    int last_depth = 0;
+    for (const auto &row : d.depths) {
+        EXPECT_GT(row.depth, last_depth);
+        last_depth = row.depth;
+        EXPECT_EQ(levelSum(row.level), row.accesses.delta())
+            << "depth " << row.depth;
+        accesses += row.accesses.delta();
+        bytes += row.bytes.delta();
+    }
+    EXPECT_EQ(accesses, d.node_accesses.delta());
+    EXPECT_EQ(bytes, d.node_bytes.delta());
 }
 
 TEST(Diff, RoundTripThroughJsonReportKeepsIntegersExact)

@@ -152,15 +152,18 @@ TEST(MemscopeCollector, RegistryProbesRegisterAndUnregister)
         c.registerMetrics(registry);
         const auto samples = registry.snapshot("memscope.*");
         ASSERT_FALSE(samples.empty());
-        double gpu_accesses = -1, sm1_accesses = -1;
+        double gpu_accesses = -1, sm1_accesses = -1, line_l1 = -1;
         for (const auto &s : samples) {
             if (s.name == "memscope.gpu.node_accesses")
                 gpu_accesses = s.value;
             else if (s.name == "memscope.sm1.node_accesses")
                 sm1_accesses = s.value;
+            else if (s.name == "memscope.mem.line_l1")
+                line_l1 = s.value;
         }
         EXPECT_EQ(gpu_accesses, 7.0);
         EXPECT_EQ(sm1_accesses, 4.0);
+        EXPECT_EQ(line_l1, 0.0); // probed, though nothing was fetched
     }
     // Probes are owner-tagged and dropped with the collector.
     EXPECT_TRUE(registry.snapshot("memscope.*").empty());

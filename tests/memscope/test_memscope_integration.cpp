@@ -58,6 +58,42 @@ TEST(MemscopeIntegration, TrafficConservesAgainstCacheCounters)
     mscope.l1ReuseTotals(cold, tracked, hist);
     EXPECT_EQ(tracked, out.gpu.l1.accesses);
     EXPECT_EQ(mscope.l2ScopeConst().accesses(), out.gpu.l2.accesses);
+    // Each reuse-stack access is cold or lands in one histogram
+    // bucket.
+    const auto histSum = [](const auto &h) {
+        std::uint64_t n = 0;
+        for (const std::uint64_t v : h)
+            n += v;
+        return n;
+    };
+    EXPECT_EQ(cold + histSum(hist), tracked);
+    const auto &l2s = mscope.l2ScopeConst();
+    EXPECT_EQ(l2s.cold() + histSum(l2s.hist()), l2s.accesses());
+    EXPECT_LE(t.bank_conflicts, t.bank_requests);
+    // The node tables tie out: every fetch has one serving level,
+    // one depth row, one traversal phase and one SM row, and each
+    // hot-node row is a slice of the total.
+    EXPECT_EQ(histSum(totals.level), totals.accesses);
+    std::uint64_t depth_accesses = 0, depth_bytes = 0;
+    for (const auto &row : mscope.depthTotals()) {
+        EXPECT_EQ(histSum(row.level), row.accesses);
+        EXPECT_EQ(histSum(row.phase), row.accesses);
+        depth_accesses += row.accesses;
+        depth_bytes += row.bytes;
+    }
+    EXPECT_EQ(depth_accesses, totals.accesses);
+    EXPECT_EQ(depth_bytes, totals.bytes);
+    std::uint64_t unit_accesses = 0, unit_bytes = 0;
+    for (int i = 0; i < mscope.unitCount(); ++i) {
+        unit_accesses += mscope.unitAt(i).accesses;
+        unit_bytes += mscope.unitAt(i).bytes;
+    }
+    EXPECT_EQ(unit_accesses, totals.accesses);
+    EXPECT_EQ(unit_bytes, totals.bytes);
+    for (const auto &h : mscope.hotNodes(32)) {
+        EXPECT_EQ(histSum(h.c.level), h.c.accesses) << "node " << h.node;
+        EXPECT_LE(h.c.accesses, totals.accesses) << "node " << h.node;
+    }
     // The summary mirrors the live counters.
     const auto s = out.gpu.memscope_summary;
     EXPECT_TRUE(s.enabled);

@@ -100,10 +100,12 @@ TEST(QueryOracle, RadiusAgreesOnEveryPointCloud)
         SCOPED_TRACE(l);
         const auto out = runQuery(l, core::ShaderKind::QueryRadius);
         ASSERT_TRUE(out.query.verified);
+        EXPECT_EQ(out.query.oracle_checked, out.query.queries);
         EXPECT_EQ(out.query.oracle_mismatches, 0u);
         // Every neighbor round plus one trailing empty round, unless
-        // a query saturated max_rounds.
+        // a query saturated max_rounds; every query issues a round.
         EXPECT_GE(out.query.rounds, out.query.found);
+        EXPECT_GE(out.query.rounds, out.query.queries);
     }
 }
 

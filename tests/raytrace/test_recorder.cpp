@@ -85,6 +85,16 @@ TEST(UnitRecorder, SampleKBoundsRaysAndSeedMovesTheChoice)
     EXPECT_EQ(wa.rays.size(), 4u);
     EXPECT_EQ(wa.sampled_mask & ~wa.active_mask, 0u)
         << "sampled a lane that was not active";
+    // One record per sampled lane: each ray's lane is in the mask,
+    // and no lane is recorded twice.
+    std::uint32_t seen = 0;
+    for (const auto &r : wa.rays) {
+        const std::uint32_t bit = 1u << r.lane;
+        EXPECT_NE(wa.sampled_mask & bit, 0u) << "lane " << int(r.lane);
+        EXPECT_EQ(seen & bit, 0u) << "lane " << int(r.lane) << " twice";
+        seen |= bit;
+    }
+    EXPECT_EQ(seen, wa.sampled_mask);
 
     RecorderConfig other = rcfg;
     other.seed = 0xdeadbeefu;
@@ -103,9 +113,13 @@ TEST(UnitRecorder, LifecycleConservation)
         tcfg.coop = coop;
         RecordedRun run(rcfg, tcfg);
         ASSERT_EQ(run.rec.warps().size(), 1u);
+        EXPECT_EQ(run.rec.stats().warps_sampled, 1u);
         const WarpRecord &w = run.rec.warps()[0];
         EXPECT_TRUE(w.retired);
+        EXPECT_EQ(run.rec.stats().rays_sampled, w.rays.size());
         for (const auto &r : w.rays) {
+            EXPECT_LE(r.launch_cycle, r.retire_cycle)
+                << "lane " << int(r.lane) << " coop=" << coop;
             // Every stack entry a ray ever owned (its root plus its
             // pushes) is eventually popped — by its own lane or by a
             // helper — exactly once, so the owner-keyed live count

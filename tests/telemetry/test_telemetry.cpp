@@ -4,12 +4,16 @@
  * the run's sealed totals, the per-run JSON sink's
  * deterministic/host split, the campaign event log, the heartbeat
  * thread, and the event log driven by a real `exec::Campaign` with a fake
- * runner (conservation between job lines and campaign_end).
+ * runner (conservation between job lines and campaign_end, retries
+ * included).
  */
 
+#include <atomic>
 #include <chrono>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -80,8 +84,10 @@ TEST(Recorder, ScopedPhaseTimesItsScope)
     }
 }
 
-TEST(Recorder, FinishRunDerivesThroughput)
+TEST(Recorder, FinishRunSealsCyclesRaysAndSimSeconds)
 {
+    // finishRun seals the run's cycles and retired rays, and
+    // sim_seconds is the sim_loop span, exactly.
     Recorder rec;
     rec.reset();
     rec.recordPhase(Phase::SimLoop, 2.0);
@@ -134,6 +140,15 @@ TEST(Recorder, WriteJsonSplitsDeterministicFromHost)
     // The build stamp is part of the deterministic prefix.
     EXPECT_NE(prefix.find("\"build\""), std::string::npos);
     EXPECT_NE(prefix.find("\"revision\""), std::string::npos);
+    // The host object lists the five phases in lifecycle order.
+    std::size_t at = host;
+    for (const Phase p : {Phase::SceneLoad, Phase::BvhBuild,
+                          Phase::Warmup, Phase::SimLoop, Phase::Report}) {
+        const std::size_t next =
+            json.find('"' + std::string(phaseName(p)) + "\":{", at);
+        ASSERT_NE(next, std::string::npos) << phaseName(p);
+        at = next;
+    }
 }
 
 TEST(BuildInfo, CompactJsonObject)
@@ -142,6 +157,8 @@ TEST(BuildInfo, CompactJsonObject)
     EXPECT_EQ(info.front(), '{');
     EXPECT_EQ(info.back(), '}');
     EXPECT_NE(info.find("\"revision\":"), std::string::npos);
+    EXPECT_EQ(info.find("\"revision\":\"\""), std::string::npos)
+        << "empty revision";
     EXPECT_NE(info.find("\"dirty\":"), std::string::npos);
     EXPECT_NE(info.find("\"compiler\":"), std::string::npos);
     EXPECT_NE(info.find("\"build_type\":"), std::string::npos);
@@ -218,47 +235,99 @@ TEST(HeartbeatTest, BeatsAndStopsPromptly)
               std::string::npos);
 }
 
+/** The event kind of one event-log line ("" if absent). */
+std::string
+evOf(const std::string &line)
+{
+    const std::size_t at = line.find("\"ev\":\"");
+    return at == std::string::npos
+               ? ""
+               : line.substr(at + 6, line.find('"', at + 6) - at - 6);
+}
+
+/** The integer value of @p key in one event-log line (-1 if absent). */
+long long
+intOf(const std::string &line, const std::string &key)
+{
+    const std::size_t at = line.find('"' + key + "\":");
+    return at == std::string::npos
+               ? -1
+               : std::stoll(line.substr(at + key.size() + 3));
+}
+
 // Event-log conservation over a real campaign (fake runner, so no
-// scenes are built): every job starts and finishes exactly once and
-// campaign_end agrees, for both 1 and 4 workers.
+// scenes are built; one job passes on its retry, one fails both
+// attempts): the log opens with campaign_begin and closes with
+// campaign_end, every job starts and finishes exactly once per
+// attempt, and campaign_end's done, failed and retried agree with
+// the job lines, for both 1 and 4 workers.
 TEST(CampaignIntegration, EventLogConservation)
 {
+    constexpr int kJobs = 6;
     for (int workers : {1, 4}) {
         std::ostringstream os;
         EventLog log(&os);
         exec::CampaignOptions opt;
         opt.jobs = workers;
+        opt.retries = 1;
         opt.event_log = &log;
         exec::Campaign campaign(opt);
-        for (int i = 0; i < 6; ++i)
+        for (int i = 0; i < kJobs; ++i)
             campaign.add(exec::Job{"fake", {},
                                    "job" + std::to_string(i)});
-        campaign.setRunner([](const exec::Job &) {
+        std::atomic<bool> job3_failed{false};
+        campaign.setRunner([&](const exec::Job &job) {
+            if (job.tag == "job5" ||
+                (job.tag == "job3" && !job3_failed.exchange(true)))
+                throw std::runtime_error("injected failure");
             core::RunOutcome out;
             out.gpu.cycles = 77;
             return out;
         });
         const auto results = campaign.run();
-        ASSERT_EQ(results.size(), 6u);
-
-        const std::string all = os.str();
-        std::size_t starts = 0, finishes = 0, pos = 0;
-        while ((pos = all.find("\"ev\":\"job_start\"", pos)) !=
-               std::string::npos)
-            ++starts, ++pos;
-        pos = 0;
-        while ((pos = all.find("\"ev\":\"job_finish\"", pos)) !=
-               std::string::npos)
-            ++finishes, ++pos;
-        EXPECT_EQ(starts, 6u) << "workers=" << workers;
-        EXPECT_EQ(finishes, 6u) << "workers=" << workers;
-        EXPECT_NE(all.find("{\"ev\":\"campaign_begin\",\"jobs\":6,"),
-                  std::string::npos);
-        EXPECT_NE(all.find("{\"ev\":\"campaign_end\",\"done\":6,"
-                           "\"failed\":0,"),
-                  std::string::npos);
-        EXPECT_NE(all.find("\"cycles\":77,"), std::string::npos);
+        ASSERT_EQ(results.size(), std::size_t(kJobs));
         EXPECT_EQ(campaign.stats().running.load(), 0u);
+
+        std::vector<std::string> lines;
+        std::istringstream in(os.str());
+        for (std::string line; std::getline(in, line);)
+            lines.push_back(line);
+        ASSERT_GE(lines.size(), 2u) << "workers=" << workers;
+        const std::string &begin = lines.front(), &end = lines.back();
+        EXPECT_EQ(evOf(begin), "campaign_begin");
+        EXPECT_EQ(intOf(begin, "jobs"), kJobs);
+        EXPECT_EQ(begin.find("\"revision\":\"\""), std::string::npos);
+        EXPECT_EQ(evOf(end), "campaign_end");
+
+        std::vector<int> starts(kJobs), finishes(kJobs);
+        long long ok = 0, retries = 0;
+        for (std::size_t i = 1; i + 1 < lines.size(); ++i) {
+            const std::string ev = evOf(lines[i]);
+            const long long idx = intOf(lines[i], "index");
+            ASSERT_TRUE(idx >= 0 && idx < kJobs) << lines[i];
+            if (ev == "job_start")
+                starts[std::size_t(idx)]++;
+            else if (ev == "job_retry")
+                retries++;
+            else if (ev == "job_finish") {
+                finishes[std::size_t(idx)]++;
+                ok += lines[i].find("\"ok\":true") != std::string::npos;
+                if (idx != 5) {
+                    EXPECT_NE(lines[i].find("\"cycles\":77,"),
+                              std::string::npos);
+                }
+            } else
+                ADD_FAILURE() << "unexpected line " << lines[i];
+        }
+        for (int j = 0; j < kJobs; ++j) {
+            EXPECT_EQ(finishes[std::size_t(j)], 1) << "job " << j;
+            EXPECT_EQ(starts[std::size_t(j)], j == 3 || j == 5 ? 2 : 1)
+                << "job " << j;
+        }
+        EXPECT_EQ(intOf(end, "done"), ok);
+        EXPECT_EQ(intOf(end, "done") + intOf(end, "failed"), kJobs);
+        EXPECT_EQ(intOf(end, "retried"), retries);
+        EXPECT_EQ(retries, 2);
     }
 }
 

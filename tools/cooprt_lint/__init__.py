@@ -27,15 +27,10 @@ hazard patterns *statically*, before they reach a run:
                                         registered with the registry
   ====================================  =================================
 
-Two interchangeable frontends produce the same fact stream:
-
-  - ``text``: a structural C++ scanner (comment/string stripping,
-    brace/paren matching, declaration and loop extraction). Zero
-    dependencies; this is the CI gate and the ctest default.
-  - ``clang``: libclang (``pip install libclang``) driven by
-    ``build/compile_commands.json`` for type-accurate container and
-    float classification. Used when importable; advisory until parity
-    with the text frontend is pinned in CI.
+Facts come from one structural C++ scanner (``frontend_text``:
+comment/string stripping, brace/paren matching, declaration and loop
+extraction, typedef'd containers resolved through their ``using``
+aliases). It has no dependencies; the CI gate and ctest run it.
 
 Findings can be suppressed inline with a mandatory reason::
 

@@ -17,7 +17,6 @@ import argparse
 from pathlib import Path
 
 import baseline as baseline_mod
-import frontend_clang
 import frontend_text
 import lintlib
 from model import FileFacts, Finding, Project
@@ -58,22 +57,9 @@ def _rel(repo: Path, path: Path) -> str:
         return path.name
 
 
-def _analyze(repo: Path, files: list[Path],
-             frontend: str) -> list[FileFacts]:
-    use_clang = (frontend == "clang"
-                 or (frontend == "auto"
-                     and frontend_clang.available()))
-    compile_commands = (
-        frontend_clang.load_compile_commands(repo)
-        if use_clang else {})
-    facts: list[FileFacts] = []
-    for f in files:
-        rel = _rel(repo, f)
-        if use_clang:
-            facts.append(frontend_clang.analyze_file(
-                f, rel, repo, compile_commands))
-        else:
-            facts.append(frontend_text.analyze_file(f, rel))
+def _analyze(repo: Path, files: list[Path]) -> list[FileFacts]:
+    facts = [frontend_text.analyze_file(f, _rel(repo, f))
+             for f in files]
     union = set()
     for ff in facts:
         union |= ff.unordered_vars
@@ -162,9 +148,6 @@ def main(argv: list[str]) -> int:
                          "examples tests under --repo)")
     ap.add_argument("--repo", type=Path, default=lintlib.REPO,
                     help="repo root (default: auto-detected)")
-    ap.add_argument("--frontend",
-                    choices=("auto", "text", "clang"),
-                    default="auto")
     ap.add_argument("--rules", default="",
                     help="comma-separated rule ids to run")
     ap.add_argument("--list-rules", action="store_true")
@@ -206,7 +189,7 @@ def main(argv: list[str]) -> int:
         print(f"cooprt-lint: no C++ sources found under {repo}")
         return lintlib.EXIT_USAGE
 
-    facts = _analyze(repo, files, args.frontend)
+    facts = _analyze(repo, files)
     project = Project(repo, facts)
     findings = _run_rules(project, rule_ids)
     findings = _apply_suppressions(project, findings,

@@ -7,9 +7,8 @@ argument spans. Offsets come from the stripped ``code`` view so
 comments and string literals can never fake a declaration or a loop.
 
 This frontend is deliberately conservative: it classifies by
-declared-name lookup (file-local first, project-union second), which
-the libclang frontend replaces with real type information when
-available. Both fill the identical ``FileFacts`` schema.
+declared-name lookup (file-local first, project-union second), and
+resolves ``using`` aliases of unordered containers to the container.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Finding / rule / project model shared by both frontends."""
+"""Finding / rule / project model shared by the frontend and rules."""
 
 from __future__ import annotations
 
@@ -44,8 +44,8 @@ class Loop:
 
 @dataclass
 class FileFacts:
-    """Frontend-produced facts for one file. Both frontends fill the
-    same schema; rules never see frontend-specific state."""
+    """Frontend-produced facts for one file; rules see only these,
+    never the scanner's own state."""
     src: SourceFile
     unordered_vars: set[str] = field(default_factory=set)
     float_vars: set[str] = field(default_factory=set)

@@ -7,10 +7,12 @@ literal name shadow each other silently (last wins), and a metric
 that exists in code but not in DESIGN.md cannot be reviewed against
 the paper's figure list.
 
-Only *literal dotted* names (``"query.queries"``) are checked;
-computed names (``prefix + ".hits"``) follow their prefix family's
-wildcard entry (``rtunit.*``) and are validated at runtime by the
-registry's own collision audit.
+Only *literal dotted* names passed straight to ``probe`` (``probe(
+"query.queries", ...)``) are checked; computed names (``prefix +
+".hits"``, or a local ``add("trace_latency.count", ...)`` helper that
+prepends a per-unit prefix) follow their prefix family's wildcard
+entry (``rtunit.*``) and are validated at runtime by the registry's
+own collision audit.
 
 Some metric families additionally have a single *owning file* (the
 DESIGN.md authority tables): a ``prof.*`` probe registered outside
@@ -34,8 +36,7 @@ import re
 
 from model import Project, Rule
 
-_LITERAL_REG_RE = re.compile(
-    r'\b(?:probe|add)\s*\(\s*"([\w]+(?:\.[\w]+)+)"')
+_LITERAL_REG_RE = re.compile(r'\bprobe\s*\(\s*"([\w]+(?:\.[\w]+)+)"')
 
 _WILDCARD_RE = re.compile(r"`([\w.]+)\.\*`")
 
@@ -45,7 +46,6 @@ _WILDCARD_RE = re.compile(r"`([\w.]+)\.\*`")
 _AUTHORITY_FILES = {
     "prof.": "src/prof/prof.cpp",
     "memscope.": "src/memscope/memscope.cpp",
-    "exec.": "src/exec/exec.cpp",
     "telemetry.": "src/telemetry/telemetry.cpp",
     "query.": "src/query/query.cpp",
 }
@@ -132,8 +132,8 @@ class RegistryAuthority(Rule):
                         else f"a `{name}` (or wildcard family) entry")
                 add(self.id, rel, line,
                     f"metric '{name}' not documented in DESIGN.md",
-                    f"metric '{name}' is registered here but has "
-                    f"no {need} in DESIGN.md; document it in the "
+                    f"metric '{name}' is registered here but "
+                    f"DESIGN.md lacks {need}; document it in the "
                     f"metric catalogue")
 
         by_rel = {f.rel: f.src for f in project.files}

@@ -8,7 +8,8 @@ reject it cleanly: exit 1, a FAIL line, no traceback. The same holds
 for unreadable inputs (missing file, non-JSON text), for
 ``--identical`` (which must accept two worker counts' sinks and
 reject any deterministic difference), and for the smoke recipes'
-CLI contracts, broken by a wrapper around one CLI.
+CLI checks, broken by a wrapper around one CLI. The conservation
+laws are not corrupted here: they live in the C++ audits and tests.
 
 Registered as a ctest case; the binary paths arrive on argv:
 
@@ -70,12 +71,6 @@ def all_of(*ms):
     return m
 
 
-def moved(path: str):
-    """Move one unit from a delta triple's base to its delta: the
-    triple stays consistent, the sums it feeds do not."""
-    return all_of(bump(path + ".base", -1), bump(path + ".delta"))
-
-
 def stamp_cases(prefix: str = "", keys=("run_key",)):
     yield "drop schema_version", drop(prefix + "schema_version")
     yield "schema_version 1", setv(prefix + "schema_version", 1)
@@ -103,45 +98,28 @@ def wrong_type(path: str, value="x"):
 # --------------------------------------------------------------------
 
 def raystats_cases(doc):
-    w = next(i for i, w in enumerate(doc["warps"])
-             if w["retired"] and len(w["rays"]) == 2)
+    w = next(i for i, w in enumerate(doc["warps"]) if w["rays"])
     W, R = f"warps.{w}", f"warps.{w}.rays.0"
-    warp = doc["warps"][w]
-    lane = warp["rays"][0]["lane"]
     yield from stamp_cases()
     yield wrong_type("scene", 5)
     yield from counter_cases("", (
         "sample_k", "seed", "warps_seen", "warps_sampled",
         "warps_retired", "rays_sampled", "events_recorded",
         "events_dropped", "steal_events"))
-    yield "sample_k 0", setv("sample_k", 0)
     yield wrong_type("warps")
-    yield "warps_sampled off by one", bump("warps_sampled")
     for f in ("sm", "ordinal", "warp_id", "submit", "retire",
               "sampled_mask"):
         yield f"drop {W}.{f}", drop(f"{W}.{f}")
     yield "retired not bool", setv(W + ".retired", 1)
     yield wrong_type(W + ".rays")
-    yield "more rays than sample_k", setv("sample_k", 1)
     yield from counter_cases(R, (
         "lane", "launch", "retire", "node_visits", "node_pops",
         "stale_pops", "node_pushes", "leaf_tests", "steals_in",
         "steals_out", "stack_hwm", "events", "events_dropped"))
-    yield "duplicate lane", setv(W + ".rays.1.lane", lane)
-    yield "lane outside sampled_mask", setv(
-        W + ".sampled_mask", warp["sampled_mask"] & ~(1 << lane))
     yield "levels not 3 entries", setv(R + ".levels", [1, 2])
-    yield "sum(levels) != node_visits", bump(R + ".levels.0")
-    yield "launch after retire", setv(R + ".launch",
-                                      warp["rays"][0]["retire"] + 1)
-    yield "rays_sampled off by one", bump("rays_sampled")
 
 
 def memscope_cases(doc):
-    hot = doc["hot_nodes"]
-    h = next(i for i in range(1, len(hot))
-             if hot[i]["accesses"] < hot[i - 1]["accesses"])
-    total = doc["nodes"]["accesses"]
     yield from stamp_cases()
     yield wrong_type("scene", 5)
     for obj, fields in (("nodes", ("accesses", "bytes", "lanes")),
@@ -166,49 +144,23 @@ def memscope_cases(doc):
                         ("units", ("sm", "accesses", "bytes"))):
         yield wrong_type(arr)
         yield from counter_cases(arr + ".0", fields)
-    yield "nodes level sum", bump("nodes.levels.l1")
-    yield "depth not increasing", setv("depths.1.depth",
-                                       doc["depths"][0]["depth"])
-    yield "depth level sum", bump("depths.0.l1")
-    yield "depth phase sum", bump("depths.0.phases.traverse")
-    yield "depth rows vs nodes.accesses", all_of(
-        bump("depths.0.accesses"), bump("depths.0.l1"),
-        bump("depths.0.phases.traverse"))
-    yield "depth rows vs nodes.bytes", bump("depths.0.bytes")
-    yield "hot node above total", all_of(
-        setv("hot_nodes.0.accesses", total + 1),
-        bump("hot_nodes.0.l1", total + 1 - hot[0]["accesses"]))
-    yield "hot node level sum", bump("hot_nodes.0.l1")
-    yield "hot ranking", lambda d: d["hot_nodes"].insert(
-        0, d["hot_nodes"].pop(h))
     for lvl in ("l1", "l2"):
         yield (f"reuse.{lvl}.hist length",
                lambda d, lvl=lvl: d["reuse"][lvl]["hist"].pop())
-        yield f"reuse.{lvl} cold+hist", bump(f"reuse.{lvl}.cold")
-    yield "mem lines vs reuse.l1.tracked", bump("mem.line_l1")
-    yield "bank conflicts above requests", setv(
-        "mem.bank_conflicts", doc["mem"]["bank_requests"] + 1)
-    yield "dram row hits+misses", bump("dram.row_hits")
-    yield "unit rows vs nodes.accesses", bump("units.0.accesses")
-    yield "unit rows vs nodes.bytes", bump("units.0.bytes")
 
 
 def telemetry_cases(doc):
     host = doc["host"]
     yield from stamp_cases()
     yield wrong_type("scene", 5)
-    yield "telemetry_version 2", setv("telemetry_version", 2)
     yield wrong_type("build")
     for f in ("revision", "dirty", "compiler", "build_type", "check"):
         yield f"drop build.{f}", drop(f"build.{f}")
     yield "build.dirty not bool", setv("build.dirty", "yes")
-    yield "empty build.revision", setv("build.revision", "")
     yield wrong_type("sim")
     yield from counter_cases("sim", ("cycles", "rays_retired"))
     yield wrong_type("host")
     yield wrong_type("host.phases")
-    yield "phase order", lambda d: d["host"]["phases"].update(
-        scene_load=d["host"]["phases"].pop("scene_load"))
     yield wrong_type("host.phases.warmup")
     yield "drop span seconds", drop("host.phases.warmup.seconds")
     yield wrong_type("host.phases.warmup.seconds")
@@ -223,8 +175,6 @@ def telemetry_cases(doc):
     yield from counter_cases("host", ("rss_current_kb", "rss_peak_kb"))
     yield "rss peak below current", setv("host.rss_peak_kb",
                                          host["rss_current_kb"] - 1)
-    yield "sim_seconds vs sim_loop", setv("host.sim_seconds",
-                                          host["sim_seconds"] * 2)
 
 
 def telemetry_log_cases(lines):
@@ -237,105 +187,65 @@ def telemetry_log_cases(lines):
     yield "unknown event", setv(S + ".ev", "job_bogus")
     yield "missing host", drop(S + ".host")
     yield "empty log", lambda d: d.clear()
-    yield "first event not campaign_begin", drop("0")
-    yield "last event not campaign_end", drop("-1")
     yield "drop campaign_begin.jobs", drop("0.jobs")
     yield "drop campaign_begin.build", drop("0.build")
-    yield "empty campaign_begin revision", setv("0.build.revision", "")
-    yield "lifecycle event in the middle", insert(lines[0])
     yield from counter_cases(S, ("index", "attempt"))
-    yield "index out of range", setv(S + ".index", lines[0]["jobs"])
     yield "drop tag", drop(S + ".tag")
     yield "job_retry without next_attempt", insert(event("job_retry"))
     yield "job_timeout without budget_s", insert(event("job_timeout"))
     yield "job_finish.ok not bool", setv(F + ".ok", 1)
     yield from counter_cases(F, ("attempts", "cycles"))
-    yield "job finished twice", lambda d: d.insert(-1, d[finish])
-    yield "a job never starts", drop(S)
-    yield "a job never finishes", drop(F)
-    yield "done + failed != jobs", bump("-1.failed")
-    yield "ok lines != done", setv(F + ".ok", False)
-    yield "retried != job_retry lines", bump("-1.retried")
+    yield from counter_cases("-1", ("done", "failed", "retried"))
 
 
 def diff_cases(docs):
     d, p, m = "0.", "0.prof.", "0.memscope."
-    doc = docs[0]
     yield from stamp_cases(d, keys=("run_key", "other_key"))
     yield "schema_version 3", setv(d + "schema_version", 3)
     yield "empty other_key.scene", setv(d + "other_key.scene", "")
-    yield "keys disagree on resolution", bump(d + "other_key.resolution")
-    yield "same_fingerprint wrong", setv(d + "same_fingerprint", True)
     yield "drop build", drop(d + "build")
     yield "build without revision", setv(d + "build", {})
     yield "drop attribution", drop(d + "attribution")
     yield "cycles delta != other - base", bump(d + "cycles.delta")
     yield "cycles.base not an integer", setv(d + "cycles.base", "1")
     yield wrong_type(d + "speedup")
-    yield "speedup arithmetic", setv(d + "speedup", doc["speedup"] * 2)
     yield wrong_type(d + "bandwidth")
     yield "l2_bytes delta", bump(d + "bandwidth.l2_bytes.delta")
     yield "drop dram_bytes", drop(d + "bandwidth.dram_bytes")
     yield wrong_type(d + "prof")
     yield "resident delta", bump(p + "resident_cycles.delta")
     yield "drop rt_stall_cycles", drop(p + "rt_stall_cycles")
-    yield "empty buckets", setv(p + "buckets", [])
     yield "bucket without name", drop(p + "buckets.0.name")
-    yield "duplicate bucket", setv(p + "buckets.1.name",
-                                   doc["prof"]["buckets"][0]["name"])
-    yield "bucket delta", bump(p + "buckets.0.delta")
-    yield "bucket conservation", moved(p + "buckets.0")
     yield wrong_type(d + "memscope")
     yield "node_accesses delta", bump(m + "node_accesses.delta")
     yield "drop node_bytes", drop(m + "node_bytes")
     yield wrong_type(m + "levels")
     yield "level delta", bump(m + "levels.l1.delta")
-    yield "level deltas vs accesses", moved(m + "levels.l1")
     yield wrong_type(m + "depths")
-    yield "depth not increasing", setv(
-        m + "depths.1.depth", doc["memscope"]["depths"][0]["depth"])
     yield "depth accesses delta", bump(m + "depths.0.accesses.delta")
     yield "drop depth l2", drop(m + "depths.0.l2")
-    yield "depth level deltas", moved(m + "depths.0.l1")
-    yield "depth rows vs accesses", all_of(
-        moved(m + "depths.0.l1"), moved(m + "depths.0.accesses"))
-    yield "depth rows vs bytes", moved(m + "depths.0.bytes")
     yield "no documents", lambda d: d.clear()
 
 
-def identity_diff_cases(docs):
-    c = docs[0]["cycles"]
-    yield "identity diff with a cycle delta", all_of(
-        bump("0.cycles.other"), bump("0.cycles.delta"),
-        setv("0.speedup", float(f"{c['base'] / (c['other'] + 1):.6g}")))
-
-
 def query_cases(doc):
-    q, queries = "query.", doc["query"]["queries"]
+    q = "query."
     yield from stamp_cases()
     yield wrong_type("scene", 5)
     yield from counter_cases("", ("resolution", "cycles"))
     yield wrong_type("query")
     yield "unknown workload", setv(q + "workload", "bogus")
     yield from counter_cases("query", ("queries", "rounds", "found"))
-    yield "queries != resolution^2", all_of(bump(q + "queries"),
-                                            bump(q + "oracle.checked"))
-    yield "rounds < queries", setv(q + "rounds", queries - 1)
-    yield "found > rounds", setv(q + "found", doc["query"]["rounds"] + 1)
     yield "checksum not hex", setv(q + "checksum", "0xZZ")
     yield wrong_type(q + "checksum", 5)
     yield wrong_type(q + "oracle")
     yield from counter_cases("query.oracle", ("checked", "mismatches"))
-    yield "oracle checked != queries", bump(q + "oracle.checked", -1)
-    yield "oracle matches false", setv(q + "oracle.matches", False)
-    yield "oracle mismatches", setv(q + "oracle.mismatches", 1)
+    yield "drop oracle matches", drop(q + "oracle.matches")
 
 
 def query_lines_cases(lines):
-    o = "0.outcome.query.oracle."
     yield "job not ok", setv("0.ok", False)
-    yield "line oracle matches false", setv(o + "matches", False)
-    yield "line oracle mismatches", setv(o + "mismatches", 1)
+    yield "line checksum not hex", setv("0.outcome.query.checksum",
+                                        "0xZZ")
     yield "no lines", lambda d: d.clear()
 
 
@@ -350,67 +260,21 @@ def respaced(lines):
 
 
 def prof_cases(doc):
-    yield "resident != bucket sum", bump("buckets.issue_compute")
-
-
-def prof_folded_cases(stacks):
-    yield "folded scene", setv("0.0.0", "other")
-    yield "folded sm frame", setv("0.0.1", "gpu0")
-    yield "folded unit frame", setv("0.0.2", "lsu")
-    yield "folded unknown bucket", setv("0.0.3", "bogus")
-    yield "folded extra frame", lambda d: d[0][0].append("extra")
-    yield "folded total", bump("0.1")
-
-
-def memscope_folded_cases(stacks):
-    yield "heatmap scene", setv("0.0.0", "other")
-    yield "heatmap depth frame", setv("0.0.1", "level1")
-    yield "heatmap node frame", setv("0.0.2", "box0")
-    yield "heatmap extra frame", lambda d: d[0][0].append("x")
-    yield "empty heatmap", lambda d: [s.__setitem__(1, 0) for s in d]
+    yield "drop scene", drop("scene")
+    yield from counter_cases("", ("resident_cycles",))
+    yield wrong_type("buckets")
+    yield "negative bucket", setv("buckets.issue_compute", -1)
 
 
 def trace_cases(doc):
-    keep = lambda pred: lambda d: d.update(
-        traceEvents=[e for e in d["traceEvents"] if pred(e)])
-    yield "no trace events", setv("traceEvents", [])
-    yield "no duration events", keep(lambda e: e["ph"] != "X")
-    yield "no counter events", keep(lambda e: e["ph"] != "C")
-
-
-def ray_track_cases(doc):
-    def rename(old, new):
-        def m(d):
-            for e in d["traceEvents"]:
-                if e.get("name") == "thread_name":
-                    e["args"]["name"] = e["args"]["name"].replace(old,
-                                                                  new)
-        return m
-    yield "no thread_name metadata", lambda d: d.update(
-        traceEvents=[e for e in d["traceEvents"]
-                     if e.get("name") != "thread_name"])
-    yield "no ray tracks", rename("rays ", "beams ")
-    yield "no lane tracks", rename(" lane ", " slot ")
+    yield wrong_type("traceEvents")
+    yield "event without ph", drop("traceEvents.0.ph")
 
 
 def column_cases(columns):
     for col in columns:
         yield f"no {col} column", lambda rows, col=col: rows[1].__setitem__(
             rows[1].index(col), col + "_x")
-
-
-def metrics_cases(rows):
-    yield "no schema stamp line", drop("0")
-    yield "first column not cycle", setv("1.0", "tick")
-    yield from column_cases(("rtunit.thread_utilization",))
-    yield "no samples", lambda rows: rows.__delitem__(slice(2, None))
-    yield "ragged row", lambda rows: rows[2].pop()
-
-
-def stdout_cases(lines):
-    yield "progress line on stdout", lambda ls: ls.insert(1, "[campaign] 1/4")
-    yield "blank stdout line", lambda ls: ls.insert(1, "")
-    yield "no stdout lines", lambda ls: ls.clear()
 
 
 def _csv_dump(rows) -> str:
@@ -435,25 +299,18 @@ CODECS = {
 CORRUPTIONS = (
     ("raystats", "rays.json", "json", raystats_cases, (), ()),
     ("memscope", "ms.json", "json", memscope_cases, (), ()),
+    ("memscope-folded", "ms.folded", "folded", lambda _: (), (), ()),
     ("telemetry", "tel.json", "json", telemetry_cases, (), ()),
     ("telemetry-log", "ev1.jsonl", "jsonl", telemetry_log_cases, (),
      ()),
     ("diff", "pair.ndjson", "jsonl", diff_cases, (), ()),
-    ("diff", "identity.ndjson", "jsonl", identity_diff_cases, (), ()),
     ("query", "knn.json", "json", query_cases, (), ()),
     ("query", "knn.jsonl", "jsonl", query_lines_cases, (), ()),
     ("prof", "prof.json", "json", prof_cases, (), ("prof.folded",)),
-    ("prof", "prof.folded", "folded", prof_folded_cases,
-     ("prof.json",), ()),
-    ("memscope-folded", "ms.folded", "folded", memscope_folded_cases,
-     (), ("ms.json",)),
     ("trace", "trace.json", "json", trace_cases, (), ()),
-    ("raystats-trace", "trace.json", "json", ray_track_cases, (), ()),
-    ("metrics", "metrics.csv", "csv", metrics_cases, (), ()),
     ("memscope-metrics", "metrics.csv", "csv",
      lambda _: column_cases(("memscope.gpu.node_accesses",
                              "memscope.mem.line_l1")), (), ()),
-    ("campaign-stdout", "stdout1.jsonl", "text", stdout_cases, (), ()),
     # --identical: the pristine pair (two worker counts, or a copy)
     # agrees; every deterministic difference is rejected.
     ("--identical", "ev2.jsonl", "jsonl", finish_cycles, ("ev1.jsonl",),
@@ -463,7 +320,6 @@ CORRUPTIONS = (
      ("tel1/wknd_base.telemetry.json",), ()),
     ("--identical", "mem2/wknd_base.memscope.json", "text", respaced,
      ("mem1/wknd_base.memscope.json",), ()),
-    ("--identical", "knn.jsonl", "text", respaced, ("knn.jsonl",), ()),
     ("--identical", "pair.ndjson", "jsonl",
      lambda _: [("diff line differs", setv("0.cycles.base", 0))],
      ("pair.ndjson",), ()),
@@ -538,9 +394,8 @@ def generate(tmp: Path, sim: str, campaign: str, diff: str) -> None:
     for name, extra in (("base", ()), ("coop", ("--coop",))):
         run(sim, "--scene", "wknd", "--resolution", "16", "--profile",
             "--memscope", "--json", *extra, out=f"{name}.json")
-    for out, other in (("pair.ndjson", "coop.json"),
-                       ("identity.ndjson", "base.json")):
-        run(diff, "--quiet", "--json", out, "base.json", other)
+    run(diff, "--quiet", "--json", "pair.ndjson", "base.json",
+        "coop.json")
     run(sim, "--shader", "knn", "--resolution", "8", "--json",
         out="knn.json")
     run(campaign, "--scenes", "ptsu", "--configs", "base,coop",
@@ -551,20 +406,21 @@ def generate(tmp: Path, sim: str, campaign: str, diff: str) -> None:
             "--resolution", "16", "--jobs", jobs,
             "--telemetry-dir", f"tel{jobs}",
             "--telemetry-log", f"ev{jobs}.jsonl",
-            "--memscope-dir", f"mem{jobs}",
-            "--json-out", "-", out=f"stdout{jobs}.jsonl")
+            "--memscope-dir", f"mem{jobs}")
 
 
 def unreadable_cases(h: Harness, tmp: Path) -> None:
     junk = tmp / "junk.txt"
     junk.write_text("not json {\n")
     for kind in ("raystats", "memscope", "telemetry", "telemetry-log",
-                 "diff", "query", "trace", "campaign-stdout"):
+                 "diff", "query", "trace"):
         h.expect(f"{kind}: non-JSON input", [kind, junk], 1)
     h.expect("prof: non-JSON input", ["prof", junk, tmp / "prof.folded"],
              1)
     h.expect("prof: malformed folded line",
              ["prof", tmp / "prof.json", junk], 1)
+    h.expect("memscope-folded: malformed folded line",
+             ["memscope-folded", junk], 1)
     h.expect("--identical: missing second input",
              ["--identical", tmp / "ev1.jsonl", tmp / "missing"], 1)
 
@@ -591,26 +447,22 @@ rc = subprocess.run([{real!r}] + args).returncode
 sys.exit(rc)
 """
 
-#: Smoke-level contracts, each broken by a wrapper around one CLI:
+#: Smoke-level checks, each broken by a wrapper around one CLI:
 #: (label, smoke, CLI slot, code run before, code run after).
 SMOKE_CASES = (
     ("simulate_cli exit status", "trace", 0, "",
      "rc = 1 if '--profile' in args else rc"),
-    ("key-mismatched diff exits 0", "diff", 2, "",
-     "rc = 0 if rc == 2 else rc"),
     ("empty --markdown identity report", "diff", 2, "",
      "if '--markdown' in args: "
      "open(args[args.index('--markdown') + 1], 'w').close()"),
     ("knn defaults to another scene", "query", 0,
      "if args[:2] == ['--shader', 'knn']: args += ['--scene', 'ptsc']",
      ""),
-    ("--jobs 4 memscope sinks differ", "memscope", 1, "",
+    ("--jobs 4 telemetry sinks differ", "telemetry", 1, "",
      "if jobs4: p = sorted(pathlib.Path("
-     "args[args.index('--memscope-dir') + 1]).glob('*.json'))[0]; "
-     "p.write_text(p.read_text() + ' ')"),
-    ("--jobs 4 diff sink differs", "diff", 1, "",
-     "if jobs4: p = pathlib.Path(args[args.index('--diff-out') + 1]); "
-     "p.write_text(p.read_text() + ' ')"),
+     "args[args.index('--telemetry-dir') + 1]).glob('*.json'))[0]; "
+     "p.write_text(p.read_text().replace('\"cycles\":', "
+     "'\"cycles\":1', 1))"),
 )
 
 
