@@ -5,8 +5,9 @@
  * sinks are byte-identical either way. Checked on wknd@32 path
  * tracing, baseline and CoopRT, for the prof folded + JSON output,
  * the memscope folded + JSON output and the raystats JSON; the
- * shared run also carries a tracing + metrics session and telemetry.
- * All of them are built and written by one core::ObserverSet.
+ * shared run also carries a tracing + metrics session, whose trace
+ * holds the ray recorder's tracks, and telemetry. All of them are
+ * built and written by one core::ObserverSet.
  */
 
 #include <filesystem>
@@ -93,6 +94,19 @@ TEST_P(ObserverComposition, SinksMatchAloneAndTogether)
             EXPECT_FALSE(alone.empty()) << name;
             EXPECT_EQ(slurp(all.*field), alone) << name;
         }
+    // The Gpu emits the ray recorder's tracks into the session's
+    // trace: one named per sampled warp, one per sampled lane.
+    std::istringstream trace(slurp(all.trace));
+    int warp_tracks = 0, lane_tracks = 0;
+    for (std::string line; std::getline(trace, line);) {
+        if (line.find("\"thread_name\",\"args\":{\"name\":\"rays ") ==
+            std::string::npos)
+            continue;
+        ++(line.find(" lane ") == std::string::npos ? warp_tracks
+                                                    : lane_tracks);
+    }
+    EXPECT_GT(warp_tracks, 0);
+    EXPECT_GE(lane_tracks, warp_tracks);
     // The report phase (the last one) times the other sinks, once.
     const std::string telemetry = slurp(all.telemetry);
     const auto report = telemetry.find("\"report\":{");

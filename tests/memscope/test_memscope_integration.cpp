@@ -32,12 +32,11 @@ runWithMemscope(memscope::Collector &mscope, const std::string &scene,
     return core::simulationFor(scene).run(cfg);
 }
 
-TEST(MemscopeIntegration, TrafficConservesAgainstCacheCounters)
+/** Every memscope table of run @p out ties out against the counters. */
+void
+expectConserves(const memscope::Collector &mscope,
+                const core::RunOutcome &out)
 {
-    memscope::Collector mscope;
-    const auto out = runWithMemscope(
-        mscope, "wknd", 32, core::ShaderKind::PathTracing, false);
-
     // Every L1 access is attributed to exactly one serving level, and
     // the L1-served count is exactly the L1 hit count.
     const auto &t = mscope.trafficConst();
@@ -101,16 +100,22 @@ TEST(MemscopeIntegration, TrafficConservesAgainstCacheCounters)
     EXPECT_EQ(s.traffic.lineTotal(), out.gpu.l1.accesses);
 }
 
-TEST(MemscopeIntegration, CoopRunConservesToo)
+TEST(MemscopeIntegration, TrafficConservesAgainstCacheCounters)
 {
     memscope::Collector mscope;
     const auto out = runWithMemscope(
+        mscope, "wknd", 32, core::ShaderKind::PathTracing, false);
+    expectConserves(mscope, out);
+}
+
+TEST(MemscopeIntegration, CoopRunConservesToo)
+{
+    // The steal path attributes depth, phase and SM rows too.
+    memscope::Collector mscope;
+    const auto out = runWithMemscope(
         mscope, "bunny", 24, core::ShaderKind::AmbientOcclusion, true);
-    const auto &t = mscope.trafficConst();
-    EXPECT_EQ(t.lineTotal(), out.gpu.l1.accesses);
-    EXPECT_EQ(t.line_level[0], out.gpu.l1.hits);
-    EXPECT_EQ(mscope.nodeTotals().accesses,
-              out.gpu.rt.node_fetches + out.gpu.rt.leaf_fetches);
+    EXPECT_GT(out.gpu.rt.steals, 0u);
+    expectConserves(mscope, out);
 }
 
 TEST(MemscopeIntegration, CollectorIsReusableAcrossRuns)

@@ -123,19 +123,20 @@ TEST(QueryOracle, ContainAgreesOnEveryAmrScene)
 TEST(QueryOracle, AgreesUnderCoopToo)
 {
     // CoopRT reorders traversal (steals, subwarp scopes); results
-    // must still be the oracle's, on a representative of each kind.
-    for (const char *l : {"ptsc", "amrd"}) {
+    // must still be the oracle's, on every query scene and workload.
+    const auto agrees = [](const std::string &l, core::ShaderKind shader) {
         SCOPED_TRACE(l);
-        const auto out = runQuery(
-            l,
-            scene::SceneRegistry::get(l).kind ==
-                    scene::SceneKind::AmrCells
-                ? core::ShaderKind::QueryContain
-                : core::ShaderKind::QueryKnn,
-            8, /*coop=*/true);
+        const auto out = runQuery(l, shader, 8, /*coop=*/true);
         ASSERT_TRUE(out.query.verified);
+        EXPECT_EQ(out.query.oracle_checked, out.query.queries);
         EXPECT_EQ(out.query.oracle_mismatches, 0u);
+    };
+    for (const auto &l : labelsOfKind(scene::SceneKind::PointCloud)) {
+        agrees(l, core::ShaderKind::QueryKnn);
+        agrees(l, core::ShaderKind::QueryRadius);
     }
+    for (const auto &l : labelsOfKind(scene::SceneKind::AmrCells))
+        agrees(l, core::ShaderKind::QueryContain);
 }
 
 TEST(QuerySemantics, KnnFindsExactlyKNeighbors)
