@@ -220,7 +220,6 @@ main(int argc, char **argv)
         }
     }
 
-    cooprt::diff::Differ differ;
     bool any_mismatch = false;
     bool first = true;
     for (const Pair &pair : pairs) {
@@ -234,13 +233,17 @@ main(int argc, char **argv)
             std::fprintf(stderr, "[diff] %s\n", error.c_str());
             return 2;
         }
-        cooprt::diff::RunDiff d;
-        if (!differ.compare(base, other, &d, &error)) {
-            std::fprintf(stderr, "[diff] run-key mismatch: %s\n",
-                         error.c_str());
+        const std::string mismatch =
+            cooprt::diff::checkComparable(base, other);
+        if (!mismatch.empty()) {
+            std::fprintf(stderr, "[diff] run-key mismatch: %s (%s vs %s)\n",
+                         mismatch.c_str(), base.source.c_str(),
+                         other.source.c_str());
             any_mismatch = true;
             continue;
         }
+        const cooprt::diff::RunDiff d =
+            cooprt::diff::diffRuns(base, other);
         if (!quiet) {
             if (first) {
                 printVersion(std::cout);

@@ -11,7 +11,9 @@ namespace cooprt::core {
 void
 writeJson(std::ostream &os, const RunOutcome &o)
 {
-    cooprt::trace::JsonWriter w(os);
+    // Exact doubles: cooprt::diff reads a run only through this
+    // report, so a diff of a live run equals a diff of its file.
+    cooprt::trace::JsonWriter w(os, /*exact_doubles=*/true);
     w.open();
     trace::writeSchemaVersion(w);
     if (o.run_key.valid())

@@ -18,7 +18,9 @@ namespace cooprt::core {
 /**
  * Write @p outcome as a JSON object: scene, resolution, cycles, RT
  * unit counters, cache/DRAM statistics, stall breakdown, utilization
- * and power.
+ * and power. Doubles are written in their shortest exactly
+ * round-tripping form, so the report is the run's lossless record
+ * (`cooprt::diff` reads runs only through it).
  */
 void writeJson(std::ostream &os, const RunOutcome &outcome);
 

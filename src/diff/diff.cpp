@@ -6,10 +6,10 @@
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "check/check.hpp"
-#include "core/simulation.hpp"
-#include "prof/prof.hpp"
+#include "core/report.hpp"
 #include "stats/table.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -47,83 +47,11 @@ writeDelta(trace::JsonWriter &w, const char *key, const Delta &d)
 RunRecord
 recordFromOutcome(const core::RunOutcome &o)
 {
+    std::string error;
+    const JsonValue doc = JsonValue::parse(core::toJson(o), &error);
     RunRecord r;
-    r.schema_version = trace::kSchemaVersion;
-    r.key = o.run_key;
-    r.source = o.scene;
-
-    r.cycles = std::int64_t(o.gpu.cycles);
-    r.avg_watts = o.power.avgWatts();
-    r.total_joules = o.power.totalJoules();
-    r.edp = o.power.edp();
-    r.l2_bytes = std::int64_t(o.gpu.mem_sys.l2_bytes);
-    r.dram_bytes = std::int64_t(o.gpu.dram.bytes);
-    r.avg_thread_utilization = o.gpu.avg_thread_utilization;
-
-    if (o.gpu.prof_summary.enabled) {
-        const auto &p = o.gpu.prof_summary;
-        r.has_prof = true;
-        r.resident_cycles = std::int64_t(p.resident_cycles);
-        r.rt_stall_cycles = std::int64_t(p.rtStallCycles());
-        for (int b = 0; b < prof::kNumBuckets; ++b)
-            r.buckets.emplace_back(
-                prof::bucketName(prof::Bucket(b)),
-                std::int64_t(p.buckets[std::size_t(b)]));
-    }
-
-    if (o.gpu.memscope_summary.enabled) {
-        const auto &m = o.gpu.memscope_summary;
-        r.has_memscope = true;
-        r.node_accesses = std::int64_t(m.node_accesses);
-        r.node_bytes = std::int64_t(m.node_bytes);
-        for (int l = 0; l < 3; ++l)
-            r.node_level[std::size_t(l)] =
-                std::int64_t(m.node_level[std::size_t(l)]);
-        for (const auto &d : m.depths) {
-            if (d.accesses == 0)
-                continue;
-            DepthRow row;
-            row.depth = d.depth;
-            row.accesses = std::int64_t(d.accesses);
-            row.bytes = std::int64_t(d.bytes);
-            for (int l = 0; l < 3; ++l)
-                row.level[std::size_t(l)] =
-                    std::int64_t(d.level[std::size_t(l)]);
-            r.depths.push_back(row);
-        }
-    }
-
-    if (o.gpu.ray_summary.enabled) {
-        r.has_ray = true;
-        for (const auto &e : o.gpu.ray_summary.critical) {
-            r.critical_latency += std::int64_t(e.latency());
-            r.critical_warps++;
-        }
-    }
-
-    if (o.query.enabled) {
-        r.has_query = true;
-        r.query_workload = o.query.workload;
-        r.query_queries = std::int64_t(o.query.queries);
-        r.query_rounds = std::int64_t(o.query.rounds);
-        r.query_found = std::int64_t(o.query.found);
-        std::ostringstream csum;
-        csum << "0x" << std::hex << o.query.checksum;
-        r.query_checksum = csum.str();
-    }
-
-    if (o.telemetry.enabled) {
-        r.has_host = true;
-        for (int p = 0; p < telemetry::kNumPhases; ++p) {
-            PhaseRow row;
-            row.name = telemetry::phaseName(telemetry::Phase(p));
-            row.seconds =
-                o.telemetry.phases[std::size_t(p)].seconds;
-            r.phases.push_back(row);
-        }
-        r.sim_seconds = o.telemetry.sim_seconds;
-        r.rss_peak_kb = std::int64_t(o.telemetry.rss.peak_kb);
-    }
+    if (!doc.valid() || !recordFromReportJson(doc, &r, &error))
+        throw std::logic_error("recordFromOutcome: " + error);
     return r;
 }
 
@@ -149,7 +77,6 @@ recordFromReportJson(const JsonValue &doc, RunRecord *record,
     }
 
     RunRecord r;
-    r.schema_version = int(report->getInt("schema_version", 0));
     const JsonValue *key = report->find("run_key");
     if (key == nullptr || !key->isObject()) {
         if (error != nullptr)
@@ -218,16 +145,12 @@ recordFromReportJson(const JsonValue &doc, RunRecord *record,
     if (const JsonValue *ray = report->find("ray")) {
         r.has_ray = true;
         if (const JsonValue *cp = ray->find("critical_path"))
-            for (const JsonValue &e : cp->array()) {
+            for (const JsonValue &e : cp->array())
                 r.critical_latency += e.getInt("latency");
-                r.critical_warps++;
-            }
     }
 
     if (const JsonValue *q = report->find("query")) {
         r.has_query = true;
-        r.query_workload = q->getString("workload");
-        r.query_queries = q->getInt("queries");
         r.query_rounds = q->getInt("rounds");
         r.query_found = q->getInt("found");
         r.query_checksum = q->getString("checksum");
@@ -441,24 +364,6 @@ diffRuns(const RunRecord &base, const RunRecord &other)
         d.checksum_match =
             base.query_checksum == other.query_checksum;
     }
-
-    if (base.has_host && other.has_host) {
-        d.has_host = true;
-        for (const auto &p : base.phases) {
-            PhaseDelta pd;
-            pd.name = p.name;
-            pd.base_s = p.seconds;
-            for (const auto &op : other.phases)
-                if (op.name == p.name) {
-                    pd.other_s = op.seconds;
-                    break;
-                }
-            d.phases.push_back(std::move(pd));
-        }
-        d.sim_seconds_base = base.sim_seconds;
-        d.sim_seconds_other = other.sim_seconds;
-        d.rss_peak_kb = {base.rss_peak_kb, other.rss_peak_kb};
-    }
     return d;
 }
 
@@ -636,25 +541,6 @@ writeJson(std::ostream &os, const RunDiff &d)
     }
 
     w.field("attribution", attributionSummary(d));
-
-    if (d.has_host) {
-        // Host wall clock / RSS: the only nondeterministic fields in
-        // a diff document, isolated like every other "host" object.
-        w.open("host");
-        w.open("phases");
-        for (const auto &p : d.phases) {
-            w.open(p.name.c_str());
-            w.field("base_s", p.base_s);
-            w.field("other_s", p.other_s);
-            w.field("delta_s", p.deltaSeconds());
-            w.close();
-        }
-        w.close();
-        w.field("sim_seconds_base", d.sim_seconds_base);
-        w.field("sim_seconds_other", d.sim_seconds_other);
-        writeDelta(w, "rss_peak_kb", d.rss_peak_kb);
-        w.close();
-    }
     w.close();
     os << '\n';
 }
@@ -821,36 +707,6 @@ writeMarkdown(std::ostream &os, const RunDiff &d)
            << (d.checksum_match ? "match" : "**MISMATCH**") << " (`"
            << d.base_checksum << "` vs `" << d.other_checksum
            << "`)\n";
-}
-
-/* ------------------------------------------------------------------ */
-/* Differ                                                              */
-/* ------------------------------------------------------------------ */
-
-bool
-Differ::compare(const RunRecord &base, const RunRecord &other,
-                RunDiff *out, std::string *error)
-{
-    attempts_++;
-    const std::string mismatch = checkComparable(base, other);
-    if (!mismatch.empty()) {
-        key_mismatches_++;
-        if (error != nullptr)
-            *error = mismatch + " (" + base.source + " vs " +
-                     other.source + ")";
-    } else {
-        comparisons_++;
-        *out = diffRuns(base, other);
-    }
-#if COOPRT_CHECK_ENABLED
-    COOPRT_AUDIT("diff.engine", "diff.attempts_conserve", attempts_,
-                 comparisons_ + key_mismatches_ == attempts_,
-                 "comparisons_=" + std::to_string(comparisons_) +
-                     " + key_mismatches_=" +
-                     std::to_string(key_mismatches_) +
-                     " != attempts_=" + std::to_string(attempts_));
-#endif
-    return mismatch.empty();
 }
 
 } // namespace cooprt::diff

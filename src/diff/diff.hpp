@@ -6,11 +6,12 @@
  * Every headline claim in the paper is a *difference* between two
  * runs (CoopRT vs baseline, arity A vs arity B), and PRs 1-9 built
  * five observability layers that each describe one run in isolation.
- * This engine closes the loop: it ingests two run records — either
- * in-process `core::RunOutcome`s or schema-v2 JSON report documents
- * — aligns them by the canonical run key (scene, shader, resolution;
- * see trace::RunKeyFields), and attributes the cycle delta across
- * every axis the observers measure:
+ * This engine closes the loop: it reads two runs from their
+ * schema-v2 JSON reports (a live `core::RunOutcome` goes through its
+ * own report, which writes every number exactly), aligns them by the
+ * canonical run key (scene, shader, resolution; see
+ * trace::RunKeyFields), and attributes the cycle delta across every
+ * axis the observers measure:
  *
  *   - prof:      cycle delta per stall bucket, with the conservation
  *                guarantee that non-warp_buffer_full bucket deltas
@@ -23,10 +24,9 @@
  *                warps;
  *   - query:     round/found deltas and checksum agreement (a
  *                checksum mismatch means the runs computed different
- *                *answers*, not just different speeds);
- *   - telemetry: per-phase wall-clock and peak-RSS deltas, kept in a
- *                "host" object because they are the only
- *                nondeterministic fields in a diff.
+ *                *answers*, not just different speeds).
+ *
+ * Host wall clock is not diffed: run reports exclude it by design.
  *
  * Two records are comparable when scene, shader and resolution
  * match. Fingerprints are NOT required to differ or to match: two
@@ -73,22 +73,12 @@ struct DepthRow
     std::array<std::int64_t, 3> level{};
 };
 
-/** One telemetry phase span (host wall clock). */
-struct PhaseRow
-{
-    std::string name;
-    double seconds = 0.0;
-};
-
 /**
  * Everything the diff engine keeps about one run: the run key plus
- * the deterministic metric surface, normalized so a record built
- * from a live `core::RunOutcome` and a record parsed back from its
- * JSON report diff identically.
+ * the deterministic metric surface, read from the run's report.
  */
 struct RunRecord
 {
-    int schema_version = 0;
     cooprt::trace::RunKeyFields key;
     /** Where this record came from (file path / job tag), for
      *  diagnostics only. */
@@ -121,25 +111,22 @@ struct RunRecord
     bool has_ray = false;
     /** Sum of per-SM slowest-warp latencies. */
     std::int64_t critical_latency = 0;
-    std::int64_t critical_warps = 0;
 
     /* query workloads. */
     bool has_query = false;
-    std::string query_workload;
-    std::int64_t query_queries = 0;
     std::int64_t query_rounds = 0;
     std::int64_t query_found = 0;
     /** "0x..." hex string, exactly as reported. */
     std::string query_checksum;
-
-    /* telemetry (host; nondeterministic). */
-    bool has_host = false;
-    std::vector<PhaseRow> phases;
-    double sim_seconds = 0.0;
-    std::int64_t rss_peak_kb = 0;
 };
 
-/** Normalize a live outcome (bench/campaign in-process path). */
+/**
+ * Normalize a live outcome through its own report (`core::toJson`,
+ * parsed back by recordFromReportJson), so an in-process run and a
+ * report file take the same path. Throws std::logic_error when the
+ * report cannot be read back: an outcome from `Simulation::run`
+ * always carries a run key.
+ */
 RunRecord recordFromOutcome(const core::RunOutcome &outcome);
 
 /**
@@ -182,15 +169,6 @@ struct DepthDelta
     Delta bytes;
     /** [0]=l1, [1]=l2, [2]=dram. */
     std::array<Delta, 3> level;
-};
-
-/** One host phase across the two runs (nondeterministic). */
-struct PhaseDelta
-{
-    std::string name;
-    double base_s = 0.0;
-    double other_s = 0.0;
-    double deltaSeconds() const { return other_s - base_s; }
 };
 
 /** The aligned diff of two comparable runs. */
@@ -241,12 +219,6 @@ struct RunDiff
     std::string base_checksum;
     std::string other_checksum;
 
-    bool has_host = false;
-    std::vector<PhaseDelta> phases;
-    double sim_seconds_base = 0.0;
-    double sim_seconds_other = 0.0;
-    Delta rss_peak_kb;
-
     /**
      * (other L2 bytes/cycle) / (base L2 bytes/cycle), each side
      * computed exactly like `gpu::RunStats::l2BytesPerCycle()` so
@@ -277,9 +249,9 @@ RunDiff diffRuns(const RunRecord &base, const RunRecord &other);
 
 /**
  * The diff as one schema-stamped JSON document (validated by
- * tools/validate_sinks.py). Deterministic except for the optional
- * trailing "host" object. One line, newline-terminated — suitable
- * both as a file and as a JSON-lines sink entry.
+ * tools/validate_sinks.py). Deterministic; one line,
+ * newline-terminated — suitable both as a file and as a JSON-lines
+ * sink entry.
  */
 void writeJson(std::ostream &os, const RunDiff &d);
 
@@ -300,34 +272,6 @@ void writeMarkdown(std::ostream &os, const RunDiff &d);
  * traffic delta concentrates. Empty when the cycle delta is zero.
  */
 std::string attributionSummary(const RunDiff &d);
-
-/* ------------------------------------------------------------------ */
-/* Engine handle                                                       */
-/* ------------------------------------------------------------------ */
-
-/**
- * Stateful wrapper used by the CLIs: counts comparisons and key
- * mismatches.
- */
-class Differ
-{
-  public:
-    /**
-     * Diff @p base against @p other if comparable. Returns true and
-     * fills @p out on success; returns false and fills @p error
-     * (counting a key mismatch) otherwise.
-     */
-    bool compare(const RunRecord &base, const RunRecord &other,
-                 RunDiff *out, std::string *error);
-
-    std::uint64_t comparisons() const { return comparisons_; }
-    std::uint64_t keyMismatches() const { return key_mismatches_; }
-
-  private:
-    std::uint64_t attempts_ = 0;
-    std::uint64_t comparisons_ = 0;
-    std::uint64_t key_mismatches_ = 0;
-};
 
 } // namespace cooprt::diff
 

@@ -5,8 +5,7 @@
  *
  * Design constraints, in order:
  *  - tracing OFF must cost ~nothing: every emission site is a single
- *    null-pointer test (see the COOPRT_TRACE_* macros), and the whole
- *    thing can be compiled out with -DCOOPRT_TRACE_DISABLED;
+ *    null-pointer test (see the COOPRT_TRACE_* macros);
  *  - tracing ON must never blow up memory: events land in a fixed
  *    ring buffer and the oldest are overwritten (the `dropped()`
  *    count reports how many);
@@ -118,9 +117,7 @@ class Tracer
 
 } // namespace cooprt::trace
 
-// Emission macros: a single branch when tracing is compiled in and
-// the tracer pointer is null; nothing at all when compiled out.
-#ifndef COOPRT_TRACE_DISABLED
+// Emission macros: a single branch when the tracer pointer is null.
 #define COOPRT_TRACE_COMPLETE(tracer, cat, name, pid, tid, ts, dur)    \
     do {                                                               \
         if (tracer)                                                    \
@@ -136,12 +133,5 @@ class Tracer
         if (tracer)                                                    \
             (tracer)->counter(cat, name, pid, ts, value);              \
     } while (0)
-#else
-#define COOPRT_TRACE_COMPLETE(tracer, cat, name, pid, tid, ts, dur)    \
-    ((void)0)
-#define COOPRT_TRACE_INSTANT(tracer, cat, name, pid, tid, ts) ((void)0)
-#define COOPRT_TRACE_COUNTER(tracer, cat, name, pid, ts, value)        \
-    ((void)0)
-#endif
 
 #endif // COOPRT_TRACE_CHROME_TRACE_HPP

@@ -1,5 +1,6 @@
 #include "trace/json.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 
@@ -55,6 +56,15 @@ quoteJson(std::string_view s)
     out += escapeJson(s);
     out += '"';
     return out;
+}
+
+void
+JsonWriter::writeExact(double value)
+{
+    char buf[32]; // the longest shortest-form double is 24 chars
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof(buf), value);
+    os_.write(buf, r.ptr - buf);
 }
 
 void

@@ -29,14 +29,24 @@ std::string quoteJson(std::string_view s);
 /**
  * Minimal streaming JSON emitter: tracks comma placement per nesting
  * level, quotes keys/strings through quoteJson, and streams every
- * other value through operator<<. The caller is responsible for
+ * other value through operator<< (a double field in exact mode goes
+ * through std::to_chars instead). The caller is responsible for
  * balanced open/close calls; no validation happens here (the tests
  * run emitted documents through a JSON checker instead).
  */
 class JsonWriter
 {
   public:
-    explicit JsonWriter(std::ostream &os) : os_(os) {}
+    /**
+     * With @p exact_doubles, every double is written in the shortest
+     * form that parses back to the same value (`std::to_chars`), so
+     * a document read back loses nothing; otherwise doubles stream
+     * through operator<< (6 significant digits by default).
+     */
+    explicit JsonWriter(std::ostream &os, bool exact_doubles = false)
+        : os_(os), exact_doubles_(exact_doubles)
+    {
+    }
 
     /** Open an object; with @p key, as `"key":{`. */
     void
@@ -91,6 +101,18 @@ class JsonWriter
         first_ = false;
     }
 
+    void
+    field(const char *key, double value)
+    {
+        comma();
+        os_ << quoteJson(key) << ':';
+        if (exact_doubles_)
+            writeExact(value);
+        else
+            os_ << value;
+        first_ = false;
+    }
+
     /** Array element (inside openArray/closeArray). */
     template <typename T>
     void
@@ -110,6 +132,8 @@ class JsonWriter
     }
 
   private:
+    void writeExact(double value);
+
     void
     comma()
     {
@@ -119,6 +143,7 @@ class JsonWriter
     }
 
     std::ostream &os_;
+    bool exact_doubles_;
     bool first_ = true;
 };
 

@@ -101,42 +101,6 @@ def run_bench(build_dir: str, spec: dict, scenes: str | None,
     return rows, wall_seconds
 
 
-def memscope_overhead(build_dir: str) -> dict | None:
-    """Wall-clock cost of attaching the memscope collector.
-
-    Runs one mid-size scene through simulate_cli with and without
-    --memscope and records the relative host-time delta. Like
-    "wall_seconds" this sits outside the gated rows, so compare()
-    never fails on it (host timing is machine-dependent); the
-    documented budget is < 5% (DESIGN.md §14), and the captured
-    number makes drift visible across baseline re-pins.
-    """
-    binary = os.path.join(build_dir, "examples", "simulate_cli")
-    if not os.path.exists(binary):
-        print(f"[bench_baseline] {binary} not built; skipping "
-              f"memscope overhead probe", file=sys.stderr)
-        return None
-
-    def timed(extra: list[str]) -> float:
-        cmd = [binary, "--scene", "wknd", "--shader", "pt"] + extra
-        best = None
-        for _ in range(3):  # best-of-3 to damp host noise
-            start = time.monotonic()
-            subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL,
-                           stderr=subprocess.DEVNULL)
-            elapsed = time.monotonic() - start
-            best = elapsed if best is None else min(best, elapsed)
-        return best
-
-    off = timed([])
-    on = timed(["--memscope"])
-    return {
-        "off_seconds": round(off, 3),
-        "on_seconds": round(on, 3),
-        "overhead": round((on - off) / off, 4) if off > 0 else 0.0,
-    }
-
-
 def collect(build_dir: str, scenes: str | None,
             jobs: int | None) -> dict:
     benches = {}
@@ -153,14 +117,7 @@ def collect(build_dir: str, scenes: str | None,
             # not).
             "wall_seconds": round(wall_seconds, 3),
         }
-    doc = {"suite_version": 1, "benches": benches}
-    print("[bench_baseline] probing memscope overhead ...",
-          file=sys.stderr)
-    overhead = memscope_overhead(build_dir)
-    if overhead is not None:
-        # Top-level, not under "benches": informational only.
-        doc["memscope_overhead"] = overhead
-    return doc
+    return {"suite_version": 1, "benches": benches}
 
 
 #: Benches whose rows are per-scene (baseline, CoopRT) comparisons

@@ -4,7 +4,8 @@
 Every user-facing binary must reject bad input the same way: a
 diagnostic on *stderr* and a non-zero exit status (2, the
 conventional usage-error code), never a silent success or a crash.
-Successful informational paths (``--list-configs``) must exit 0.
+Success paths (``--list-configs``, ``diff_cli``'s N-way and
+directory diffs) must exit 0.
 
 Registered as a ctest case; the binary paths arrive on argv:
 
@@ -43,6 +44,37 @@ def expect(argv: list[str], code: int, on_stderr: str = "") -> None:
         FAILURES.append(
             f"{argv[0]} {label}: stderr {p.stderr.strip()[:200]!r} "
             f"does not mention {on_stderr!r}")
+
+
+def run_key(path: str) -> dict:
+    with open(path) as f:
+        return json.load(f)["run_key"]
+
+
+def expect_diff_lines(diff_cli: str, inputs: list[str],
+                      pairs: list[tuple[str, str]]) -> None:
+    """``diff_cli --json - INPUTS`` exits 0 with one JSON line per
+    (base report, other report) in @p pairs, in order, each carrying
+    the two reports' run keys."""
+    argv = [diff_cli, "--json", "-", *inputs]
+    label = " ".join(argv[1:])
+    p = run(argv)
+    if p.returncode != 0:
+        FAILURES.append(f"{label}: exit {p.returncode}\n    stderr: "
+                        f"{p.stderr.strip()[:200]}")
+        return
+    lines = p.stdout.splitlines()
+    if len(lines) != len(pairs):
+        FAILURES.append(f"{label}: {len(lines)} lines, want "
+                        f"{len(pairs)}")
+        return
+    for i, (line, (base, other)) in enumerate(zip(lines, pairs), 1):
+        doc = json.loads(line)
+        if doc["run_key"] != run_key(base) or \
+                doc["other_key"] != run_key(other):
+            FAILURES.append(f"{label}: line {i} keys {doc['run_key']} "
+                            f"vs {doc['other_key']}, want those of "
+                            f"{base} and {other}")
 
 
 def main(argv: list[str]) -> int:
@@ -168,20 +200,24 @@ def main(argv: list[str]) -> int:
             "/does/not/exist2.json"], 2, "no such input")
     with tempfile.TemporaryDirectory() as tmp:
         # Two reports from different scenes: parseable, stamped,
-        # but with mismatched run keys -> exit 2.
+        # but with mismatched run keys -> exit 2. The wknd variants
+        # share a run key and differ in their fingerprints.
         reports = {}
-        for scene in ("wknd", "fox"):
-            p = run([simulate, "--scene", scene,
-                     "--resolution", "16", "--json"])
+        for name, flags in (("wknd", ["--scene", "wknd"]),
+                            ("fox", ["--scene", "fox"]),
+                            ("wknd-coop", ["--scene", "wknd", "--coop"]),
+                            ("wknd-sw8", ["--scene", "wknd", "--coop",
+                                          "--subwarp", "8"])):
+            p = run([simulate, *flags, "--resolution", "16", "--json"])
             if p.returncode != 0:
                 FAILURES.append(
-                    f"{simulate} --scene {scene} --json: exit "
+                    f"{simulate} {' '.join(flags)} --json: exit "
                     f"{p.returncode}")
                 break
-            path = os.path.join(tmp, f"{scene}.json")
+            path = os.path.join(tmp, f"{name}.json")
             with open(path, "w") as f:
                 f.write(p.stdout)
-            reports[scene] = path
+            reports[name] = path
         else:
             expect([diff_cli, reports["wknd"], reports["fox"]], 2,
                    "mismatch")
@@ -189,6 +225,32 @@ def main(argv: list[str]) -> int:
             expect([diff_cli, reports["wknd"], reports["wknd"]], 0)
             # A file cannot be diffed against a directory.
             expect([diff_cli, reports["wknd"], tmp], 2)
+            # N-way: every later input diffs against the first.
+            expect_diff_lines(
+                diff_cli, [reports[n] for n in
+                           ("wknd", "wknd-coop", "wknd-sw8")],
+                [(reports["wknd"], reports[n])
+                 for n in ("wknd-coop", "wknd-sw8")])
+
+        # Directory mode pairs two --report-dir campaigns' reports
+        # by file name, in sorted name order.
+        dirs = []
+        for run_name in ("run1", "run2"):
+            d = os.path.join(tmp, run_name)
+            p = run([campaign, "--scenes", "wknd,fox", "--configs",
+                     "base,coop", "--resolution", "16",
+                     "--report-dir", d])
+            if p.returncode != 0:
+                FAILURES.append(f"{campaign} --report-dir {d}: exit "
+                                f"{p.returncode}")
+                break
+            dirs.append(d)
+        else:
+            names = sorted(os.listdir(dirs[0]))
+            expect_diff_lines(
+                diff_cli, dirs,
+                [(os.path.join(dirs[0], n), os.path.join(dirs[1], n))
+                 for n in names])
         # Empty/missing baseline directories are usage errors.
         empty = os.path.join(tmp, "empty")
         os.mkdir(empty)
