@@ -11,9 +11,7 @@ namespace cooprt::core {
 void
 writeJson(std::ostream &os, const RunOutcome &o)
 {
-    // Exact doubles: cooprt::diff reads a run only through this
-    // report, so a diff of a live run equals a diff of its file.
-    cooprt::trace::JsonWriter w(os, /*exact_doubles=*/true);
+    cooprt::trace::JsonWriter w(os);
     w.open();
     trace::writeSchemaVersion(w);
     if (o.run_key.valid())

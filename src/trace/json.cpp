@@ -59,7 +59,7 @@ quoteJson(std::string_view s)
 }
 
 void
-JsonWriter::writeExact(double value)
+JsonWriter::writeDouble(double value)
 {
     char buf[32]; // the longest shortest-form double is 24 chars
     const std::to_chars_result r =

@@ -28,25 +28,17 @@ std::string quoteJson(std::string_view s);
 
 /**
  * Minimal streaming JSON emitter: tracks comma placement per nesting
- * level, quotes keys/strings through quoteJson, and streams every
- * other value through operator<< (a double field in exact mode goes
- * through std::to_chars instead). The caller is responsible for
+ * level, quotes keys/strings through quoteJson, writes doubles in
+ * their shortest exactly round-tripping form (std::to_chars, so a
+ * document read back loses nothing), and streams every other value
+ * through operator<<. The caller is responsible for
  * balanced open/close calls; no validation happens here (the tests
  * run emitted documents through a JSON checker instead).
  */
 class JsonWriter
 {
   public:
-    /**
-     * With @p exact_doubles, every double is written in the shortest
-     * form that parses back to the same value (`std::to_chars`), so
-     * a document read back loses nothing; otherwise doubles stream
-     * through operator<< (6 significant digits by default).
-     */
-    explicit JsonWriter(std::ostream &os, bool exact_doubles = false)
-        : os_(os), exact_doubles_(exact_doubles)
-    {
-    }
+    explicit JsonWriter(std::ostream &os) : os_(os) {}
 
     /** Open an object; with @p key, as `"key":{`. */
     void
@@ -106,10 +98,7 @@ class JsonWriter
     {
         comma();
         os_ << quoteJson(key) << ':';
-        if (exact_doubles_)
-            writeExact(value);
-        else
-            os_ << value;
+        writeDouble(value);
         first_ = false;
     }
 
@@ -131,8 +120,16 @@ class JsonWriter
         first_ = false;
     }
 
+    void
+    value(double v)
+    {
+        comma();
+        writeDouble(v);
+        first_ = false;
+    }
+
   private:
-    void writeExact(double value);
+    void writeDouble(double value);
 
     void
     comma()
@@ -143,7 +140,6 @@ class JsonWriter
     }
 
     std::ostream &os_;
-    bool exact_doubles_;
     bool first_ = true;
 };
 

@@ -173,6 +173,43 @@ TEST(Diff, ReportRoundTripKeepsDoublesExact)
         EXPECT_EQ(rec.avg_thread_utilization,
                   out->gpu.avg_thread_utilization);
         EXPECT_EQ(std::uint64_t(rec.cycles), out->gpu.cycles);
+
+        // The integer sections against the outcome's own fields, by
+        // name and level, so a writer or reader that swaps two
+        // buckets or two serving levels fails here.
+        EXPECT_EQ(std::uint64_t(rec.l2_bytes), out->gpu.mem_sys.l2_bytes);
+        EXPECT_EQ(std::uint64_t(rec.dram_bytes), out->gpu.dram.bytes);
+
+        const auto &p = out->gpu.prof_summary;
+        ASSERT_TRUE(rec.has_prof);
+        EXPECT_EQ(std::uint64_t(rec.resident_cycles), p.resident_cycles);
+        EXPECT_EQ(std::uint64_t(rec.rt_stall_cycles), p.rtStallCycles());
+        ASSERT_EQ(rec.buckets.size(), std::size_t(prof::kNumBuckets));
+        for (int b = 0; b < prof::kNumBuckets; ++b) {
+            const auto &[name, cycles] = rec.buckets[std::size_t(b)];
+            EXPECT_EQ(name, prof::bucketName(prof::Bucket(b)));
+            EXPECT_EQ(std::uint64_t(cycles), p.buckets[std::size_t(b)])
+                << name;
+        }
+
+        const auto &m = out->gpu.memscope_summary;
+        ASSERT_TRUE(rec.has_memscope);
+        EXPECT_EQ(std::uint64_t(rec.node_accesses), m.node_accesses);
+        EXPECT_EQ(std::uint64_t(rec.node_bytes), m.node_bytes);
+        for (std::size_t l = 0; l < 3; ++l)
+            EXPECT_EQ(std::uint64_t(rec.node_level[l]), m.node_level[l])
+                << "level " << l;
+        ASSERT_EQ(rec.depths.size(), m.depths.size());
+        for (std::size_t i = 0; i < m.depths.size(); ++i) {
+            const auto &d = m.depths[i];
+            const diff::DepthRow &r = rec.depths[i];
+            EXPECT_EQ(r.depth, d.depth);
+            EXPECT_EQ(std::uint64_t(r.accesses), d.accesses);
+            EXPECT_EQ(std::uint64_t(r.bytes), d.bytes);
+            for (std::size_t l = 0; l < 3; ++l)
+                EXPECT_EQ(std::uint64_t(r.level[l]), d.level[l])
+                    << "depth " << d.depth << " level " << l;
+        }
     }
 }
 

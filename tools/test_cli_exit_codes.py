@@ -5,7 +5,8 @@ Every user-facing binary must reject bad input the same way: a
 diagnostic on *stderr* and a non-zero exit status (2, the
 conventional usage-error code), never a silent success or a crash.
 Success paths (``--list-configs``, ``diff_cli``'s N-way and
-directory diffs) must exit 0.
+directory diffs, ``campaign_cli --diff-baseline`` with its counters)
+must exit 0.
 
 Registered as a ctest case; the binary paths arrive on argv:
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -75,6 +77,33 @@ def expect_diff_lines(diff_cli: str, inputs: list[str],
             FAILURES.append(f"{label}: line {i} keys {doc['run_key']} "
                             f"vs {doc['other_key']}, want those of "
                             f"{base} and {other}")
+
+
+def expect_diff_counts(campaign: str, baseline: str, tmp: str,
+                       comparisons: int, mismatches: int) -> None:
+    """``campaign_cli --diff-baseline BASELINE`` over the wknd,fox x
+    base,coop matrix at 16x16 exits 0, prints @p comparisons and
+    @p mismatches as its two ``diff.*`` stderr counters, and writes
+    one diff line per comparison."""
+    out = os.path.join(tmp, "counts.ndjson")
+    argv = [campaign, "--scenes", "wknd,fox", "--configs", "base,coop",
+            "--resolution", "16", "--diff-baseline", baseline,
+            "--diff-out", out]
+    label = f"{campaign} --diff-baseline {baseline}"
+    p = run(argv)
+    if p.returncode != 0:
+        FAILURES.append(f"{label}: exit {p.returncode}\n    stderr: "
+                        f"{p.stderr.strip()[:200]}")
+        return
+    for line in (f"[campaign] diff.comparisons = {comparisons}",
+                 f"[campaign] diff.key_mismatches = {mismatches}"):
+        if line not in p.stderr.splitlines():
+            FAILURES.append(f"{label}: stderr lacks {line!r}")
+    with open(out) as f:
+        lines = f.read().splitlines()
+    if len(lines) != comparisons:
+        FAILURES.append(f"{label}: {len(lines)} diff lines, want "
+                        f"{comparisons}")
 
 
 def main(argv: list[str]) -> int:
@@ -251,6 +280,17 @@ def main(argv: list[str]) -> int:
                 diff_cli, dirs,
                 [(os.path.join(dirs[0], n), os.path.join(dirs[1], n))
                  for n in names])
+            # campaign_cli --diff-baseline counts its comparisons and
+            # key mismatches on stderr: all four jobs against their
+            # own reports, then with wknd_base's baseline replaced by
+            # fox_base's report (same file name, another run key).
+            expect_diff_counts(campaign, dirs[0], tmp, len(names), 0)
+            swapped = os.path.join(tmp, "swapped")
+            shutil.copytree(dirs[0], swapped)
+            shutil.copy(os.path.join(dirs[0], "fox_base.report.json"),
+                        os.path.join(swapped, "wknd_base.report.json"))
+            expect_diff_counts(campaign, swapped, tmp, len(names) - 1,
+                               1)
         # Empty/missing baseline directories are usage errors.
         empty = os.path.join(tmp, "empty")
         os.mkdir(empty)
