@@ -2,10 +2,16 @@
  * @file
  * Google-benchmark micro-kernels for the substrate hot paths: the
  * intersection math the RT unit's math units model, BVH construction
- * and traversal, cache access, and one full RT-unit trace. These are
+ * and traversal, cache access, one full RT-unit trace, and the
+ * observers' own hot paths (memscope's reuse-distance stack, the
+ * metrics CSV writer). These are
  * host-performance benchmarks of the simulator itself (useful when
  * optimizing it), not simulated-GPU results.
  */
+
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -13,8 +19,11 @@
 #include "bvh/traversal.hpp"
 #include "geom/rng.hpp"
 #include "mem/memory_system.hpp"
+#include "memscope/memscope.hpp"
 #include "rtunit/rt_unit.hpp"
 #include "scene/generators.hpp"
+#include "trace/metrics.hpp"
+#include "trace/registry.hpp"
 
 namespace {
 
@@ -148,6 +157,68 @@ BM_MemFetch(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MemFetch);
+
+/**
+ * memscope's reuse-distance stack on a ship-sized L2 stream: ship
+ * CoopRT at bench scale touches its L2 scope ~75K times over ~4.7K
+ * distinct lines in 512 sets. Low line ids are drawn more often, as
+ * shallow BVH nodes are. The scope keeps every touch, so the loop
+ * runs at the steady state of a long run: a bounded live set and
+ * periodic compactions.
+ */
+void
+BM_CacheScopeTouch(benchmark::State &state)
+{
+    constexpr std::uint32_t kLines = 4700;
+    std::vector<std::uint64_t> stream(1 << 16);
+    geom::Pcg32 rng(7);
+    for (std::uint64_t &line : stream)
+        line = 0x40000 + rng.nextBelow(rng.nextBelow(kLines) + 1);
+    memscope::CacheScope scope;
+    benchmark::DoNotOptimize(&scope);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const std::uint64_t line = stream[i];
+        scope.touch(line, std::uint32_t(line % 512));
+        benchmark::ClobberMemory();
+        i = (i + 1) & (stream.size() - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheScopeTouch);
+
+/**
+ * The metrics CSV of one observed ship CoopRT frame: 168 rows of the
+ * 457 columns every observer registers, half integer counters and
+ * half fractions.
+ */
+void
+BM_MetricsCsvWrite(benchmark::State &state)
+{
+    constexpr int kColumns = 457;
+    constexpr int kRows = 168;
+    trace::Registry registry;
+    std::vector<double> values(kColumns);
+    for (int c = 0; c < kColumns; ++c)
+        registry.probe("metric." + std::to_string(1000 + c),
+                       [&values, c] { return values[std::size_t(c)]; });
+    trace::MetricsSampler sampler(&registry);
+    geom::Pcg32 rng(8);
+    for (int r = 0; r < kRows; ++r) {
+        for (int c = 0; c < kColumns; ++c)
+            values[std::size_t(c)] =
+                c % 2 == 0 ? double(rng.nextBelow(1u << 24))
+                           : rng.nextFloat();
+        sampler.sample(std::uint64_t(500) * std::uint64_t(r));
+    }
+    for (auto _ : state) {
+        std::ostringstream os;
+        sampler.writeCsv(os);
+        benchmark::DoNotOptimize(os.tellp());
+    }
+    state.SetItemsProcessed(state.iterations() * kRows * kColumns);
+}
+BENCHMARK(BM_MetricsCsvWrite);
 
 /**
  * One 8-ray warp traced to retirement. Args: coop (LBU on), bfs

@@ -91,6 +91,7 @@ mutationName(Mutation m)
       case Mutation::StaleLaneMask: return "StaleLaneMask";
       case Mutation::StaleLineIndex: return "StaleLineIndex";
       case Mutation::StaleTosMask: return "StaleTosMask";
+      case Mutation::StaleGapView: return "StaleGapView";
     }
     return "Unknown";
 }
@@ -106,7 +107,7 @@ allMutations()
         Mutation::MetricsCycleRepeat,    Mutation::ProfMisattribution,
         Mutation::RayProvenanceDrop,    Mutation::MemscopeMisattribution,
         Mutation::StaleLaneMask,         Mutation::StaleLineIndex,
-        Mutation::StaleTosMask,
+        Mutation::StaleTosMask,          Mutation::StaleGapView,
     };
     return all;
 }

@@ -160,6 +160,8 @@ enum class Mutation
     StaleLineIndex,
     /** A min_thit write leaves the owner's stale-TOS bits behind. */
     StaleTosMask,
+    /** The RT unit stores a warp's gap view with progressed set. */
+    StaleGapView,
 };
 
 /** Stable name of @p m ("DoubleConsumeResponse", ...). */

@@ -67,23 +67,78 @@ UnitScope::onFetch(const rtunit::FetchEvent &f, std::uint64_t)
            int(f.phase), f.bytes);
 }
 
-std::uint64_t
-CacheScope::prefix(std::uint64_t p) const
+std::uint32_t
+CacheScope::prefix(std::uint32_t p) const
 {
-    std::uint64_t s = 0;
-    for (std::uint64_t i = p; i > 0; i -= i & (~i + 1))
+    std::uint32_t s = 0;
+    for (std::uint32_t i = p; i > 0; i -= i & (~i + 1))
         s += fen_[i - 1];
     return s;
 }
 
 void
-CacheScope::add(std::uint64_t pos, std::int64_t delta)
+CacheScope::add(std::uint32_t pos, std::uint32_t delta)
 {
-    // Two's-complement addition makes negative deltas exact on the
-    // unsigned prefix sums.
-    for (std::uint64_t i = pos + 1; i <= fen_.size();
+    // Unsigned wrap-around makes a delta of ~0u an exact decrement.
+    for (std::size_t i = std::size_t(pos) + 1; i <= fen_.size();
          i += i & (~i + 1))
-        fen_[i - 1] += std::uint64_t(delta);
+        fen_[i - 1] += delta;
+}
+
+std::size_t
+CacheScope::find(std::uint64_t line) const
+{
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t i = std::size_t((line * 0x9e3779b97f4a7c15ull) >>
+                                     shift_);
+         ; i = (i + 1) & mask) {
+        const Entry &e = table_[i];
+        if (e.pos == kNone || e.line == line)
+            return i;
+    }
+}
+
+void
+CacheScope::grow()
+{
+    std::vector<Entry> old = std::move(table_);
+    table_.assign(old.empty() ? 1024 : old.size() * 2, Entry{});
+    shift_ = 64 - std::uint32_t(std::countr_zero(table_.size()));
+    for (const Entry &e : old) {
+        if (e.pos == kNone)
+            continue;
+        const std::size_t s = find(e.line);
+        table_[s] = e;
+        owner_[e.pos] = std::uint32_t(s);
+    }
+}
+
+void
+CacheScope::compact()
+{
+    // Distances count present positions only, so renumbering them in
+    // order keeps every distance.
+    std::uint32_t live = 0;
+    for (std::uint32_t p = 0; p < now_; ++p) {
+        const std::uint32_t s = owner_[p];
+        if (s == kNone)
+            continue;
+        table_[s].pos = live;
+        owner_[live++] = s;
+    }
+    const std::size_t size =
+        std::max<std::size_t>(1024, 2 * std::size_t(live));
+    owner_.resize(size);
+    std::fill(owner_.begin() + live, owner_.end(), kNone);
+    // Node i (1-based) sums positions (i - lowbit(i), i], of which
+    // the first `live` are present.
+    fen_.resize(size);
+    for (std::size_t i = 1; i <= size; ++i) {
+        const std::size_t lo =
+            std::min<std::size_t>(i - (i & (~i + 1)), live);
+        fen_[i - 1] = std::uint32_t(std::min<std::size_t>(i, live) - lo);
+    }
+    now_ = live;
 }
 
 void
@@ -94,33 +149,26 @@ CacheScope::touch(std::uint64_t line, std::uint32_t set)
         set_accesses_.resize(std::size_t(set) + 1, 0);
     set_accesses_[set]++;
 
-    const auto it = last_pos_.find(line);
-    if (it == last_pos_.end()) {
+    if (now_ == owner_.size())
+        compact();
+    if (2 * (std::size_t(lines_) + 1) > table_.size())
+        grow();
+    const std::size_t s = find(line);
+    Entry &e = table_[s];
+    if (e.pos == kNone) {
         cold_++;
+        e.line = line;
+        lines_++;
     } else {
-        const std::uint64_t prev = it->second;
         // Stack distance: distinct lines touched since the previous
-        // access to this line == present positions strictly after it.
-        const std::uint64_t d = prefix(now_) - prefix(prev + 1);
-        hist_[std::size_t(bucketOf(d))]++;
-        present_[prev] = 0;
-        add(prev, -1);
+        // access to this line == present positions after it.
+        hist_[std::size_t(bucketOf(lines_ - prefix(e.pos + 1)))]++;
+        owner_[e.pos] = kNone;
+        add(e.pos, ~0u);
     }
-
-    if (now_ >= fen_.size()) {
-        // Grow by doubling and rebuild from the present flags —
-        // amortized O(log n) per touch.
-        std::size_t cap = fen_.empty() ? 1024 : fen_.size() * 2;
-        while (cap <= now_)
-            cap *= 2;
-        fen_.assign(cap, 0);
-        for (std::uint64_t p = 0; p < now_; ++p)
-            if (present_[p])
-                add(p, 1);
-    }
-    present_.push_back(1);
+    e.pos = now_;
+    owner_[now_] = std::uint32_t(s);
     add(now_, 1);
-    last_pos_[line] = now_;
     now_++;
 }
 
@@ -145,8 +193,10 @@ CacheScope::setsTouched() const
 void
 CacheScope::reset()
 {
-    last_pos_.clear();
-    present_.clear();
+    table_.clear();
+    shift_ = 64;
+    lines_ = 0;
+    owner_.clear();
     fen_.clear();
     now_ = 0;
     accesses_ = 0;

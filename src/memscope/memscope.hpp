@@ -47,7 +47,6 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "rtunit/rt_observer.hpp"
@@ -126,9 +125,16 @@ struct UnitScope : rtunit::RtObserver
 
 /**
  * Reuse-distance (Mattson LRU stack) and set-contention profiler for
- * one cache instance. `touch()` is O(log n) via a Fenwick tree over
- * access positions; `mem::MemorySystem` touches it once per access
+ * one cache instance; `mem::MemorySystem` touches it once per access
  * to the cache it profiles.
+ *
+ * Each distinct line touched so far holds one position, that of its
+ * latest touch, and a Fenwick tree over the positions counts the
+ * distinct lines touched since any access: `touch()` is O(log L) for
+ * L distinct lines. When the position space fills, the present
+ * positions are compacted in order and the space is sized to about
+ * twice their count (amortized O(1) per touch). A flat open-addressed
+ * table maps each line to its position.
  */
 class CacheScope
 {
@@ -153,15 +159,36 @@ class CacheScope
     void reset();
 
   private:
-    /** Fenwick prefix sum over positions [0, p). */
-    std::uint64_t prefix(std::uint64_t p) const;
-    void add(std::uint64_t pos, std::int64_t delta);
+    /** Position of a free table slot. */
+    static constexpr std::uint32_t kNone = ~0u;
 
-    std::unordered_map<std::uint64_t, std::uint64_t> last_pos_;
-    /** 1 where a position is some line's most recent touch. */
-    std::vector<std::uint8_t> present_;
-    std::vector<std::uint64_t> fen_; ///< Fenwick over present_
-    std::uint64_t now_ = 0;          ///< next access position
+    /** A line and the position of its latest touch. */
+    struct Entry
+    {
+        std::uint64_t line = 0;
+        std::uint32_t pos = kNone; ///< kNone: free slot
+    };
+
+    /** Present positions in [0, p) (Fenwick prefix sum). */
+    std::uint32_t prefix(std::uint32_t p) const;
+    void add(std::uint32_t pos, std::uint32_t delta);
+    /** Table slot holding @p line, or the free slot it would take. */
+    std::size_t find(std::uint64_t line) const;
+    /** Double the table (at most half full) and rehash. */
+    void grow();
+    /** Renumber the present positions 0.. in order and resize the
+        position space. */
+    void compact();
+
+    /** Line table: Fibonacci hash, linear probing, at most half full. */
+    std::vector<Entry> table_;
+    std::uint32_t shift_ = 64;
+    std::uint32_t lines_ = 0; ///< distinct lines (table entries)
+    /** Table slot of the line whose latest touch is each position,
+        kNone where no line's latest touch is. */
+    std::vector<std::uint32_t> owner_;
+    std::vector<std::uint32_t> fen_; ///< Fenwick over present positions
+    std::uint32_t now_ = 0;          ///< next free position
 
     std::uint64_t accesses_ = 0;
     std::uint64_t cold_ = 0;

@@ -137,6 +137,8 @@ struct WarpView
     bool any_stack_work = false;
     /** Some lane is fully idle (no stack, no fetch in flight). */
     bool has_idle_lane = false;
+
+    bool operator==(const WarpView &) const = default;
 };
 
 /**

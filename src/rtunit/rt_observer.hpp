@@ -41,6 +41,7 @@ struct ThreadStatusCounts
     std::uint64_t waiting = 0;
 
     std::uint64_t total() const { return inactive + busy + waiting; }
+    bool operator==(const ThreadStatusCounts &) const = default;
 };
 
 /** One coalesced node fetch, reported when it issues. */

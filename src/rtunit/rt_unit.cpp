@@ -303,8 +303,12 @@ RtUnit::submit(const TraceJob &job, std::uint64_t now, RetireFn on_retire)
         progress_ &= ~(1ull << std::uint64_t(slot));
         stolen_ &= ~(1ull << std::uint64_t(slot));
         w.cycles_from = now;
-        if (cycles_mask_ != 0 && accounted_ == now)
-            attributeCycles(now, true);
+        if (cycles_mask_ != 0) {
+            if (accounted_ == now)
+                attributeTick(now);
+            else
+                w.gap = cycleView(w, -1); // nothing in flight yet
+        }
     }
     return slot;
 }
@@ -829,91 +833,110 @@ RtUnit::tick(std::uint64_t now)
     // frozen pre-tick state, then collect this tick's per-slot
     // progress/steal events.
     if (cycles_mask_ != 0)
-        attributeCycles(now, false);
+        creditGap(now);
     progress_ = 0;
     stolen_ = 0;
     tryIssue(now);
     runLbu(now);
     processOneResponse(now);
     if (cycles_mask_ != 0)
-        attributeCycles(now, true);
+        attributeTick(now);
 #if COOPRT_CHECK_ENABLED
     auditInvariants(now);
 #endif
 }
 
 void
-RtUnit::attributeCycles(std::uint64_t now, bool end_of_tick)
+RtUnit::creditGap(std::uint64_t now)
 {
-    // Earliest-ready outstanding response (and its serving level)
-    // per slot, for response-starved attribution.
+#if COOPRT_CHECK_ENABLED
+    auditGapViews(now);
+#endif
+    for (std::size_t slot = 0; slot < warps_.size(); ++slot) {
+        WarpEntry &w = warps_[slot];
+        if (!w.valid || w.cycles_from >= now)
+            continue; // no idle-skipped gap to attribute
+        const std::uint64_t weight = now - w.cycles_from;
+        w.cycles_from = now;
+        // Seeded bug (check builds): this warp's cycles silently
+        // vanish from the attribution — the class of defect
+        // prof.bucket_conservation exists to catch.
+        if (COOPRT_MUTATE(ProfMisattribution))
+            continue;
+        notify(cycles_mask_, [&](RtObserver &o) {
+            o.onWarpCycles(int(slot), w.gap.view, w.gap.phase, weight,
+                           w.gap.lanes);
+        });
+    }
+}
+
+void
+RtUnit::attributeTick(std::uint64_t now)
+{
+    WaitLevels level;
+    waitLevels(level);
+    for (std::size_t slot = 0; slot < warps_.size(); ++slot) {
+        WarpEntry &w = warps_[slot];
+        if (!w.valid || w.cycles_from > now)
+            continue; // this cycle is already attributed
+        w.cycles_from = now + 1;
+        w.gap = cycleView(w, level[slot]);
+        prof::WarpView v = w.gap.view;
+        v.progressed = ((progress_ >> slot) & 1) != 0;
+        v.stole = ((stolen_ >> slot) & 1) != 0;
+        // Seeded bug (check builds): the stored view keeps this
+        // cycle's progress bit — prof.gap_view_frozen catches it.
+        if (v.progressed && COOPRT_MUTATE(StaleGapView))
+            w.gap.view.progressed = true;
+        if (COOPRT_MUTATE(ProfMisattribution))
+            continue;
+        notify(cycles_mask_, [&](RtObserver &o) {
+            o.onWarpCycles(int(slot), v, w.gap.phase, 1, w.gap.lanes);
+        });
+    }
+    accounted_ = now;
+}
+
+void
+RtUnit::waitLevels(WaitLevels &level) const
+{
     std::array<std::uint64_t, 64> best;
-    std::array<std::int8_t, 64> level{};
-    best.fill(kNever);
+    std::fill_n(best.begin(), warps_.size(), kNever);
+    std::fill_n(level.begin(), warps_.size(), std::int8_t(-1));
     for (const Response &r : responses_) {
         if (r.ready < best[std::size_t(r.slot)]) {
             best[std::size_t(r.slot)] = r.ready;
             level[std::size_t(r.slot)] = r.level;
         }
     }
+}
 
-    for (std::size_t slot = 0; slot < warps_.size(); ++slot) {
-        WarpEntry &w = warps_[slot];
-        if (!w.valid)
-            continue;
-        std::uint64_t weight;
-        if (end_of_tick) {
-            if (w.cycles_from > now)
-                continue; // this cycle is already attributed
-            weight = 1;
-            w.cycles_from = now + 1;
-        } else {
-            if (w.cycles_from >= now)
-                continue; // no idle-skipped gap to attribute
-            weight = now - w.cycles_from;
-            w.cycles_from = now;
-        }
-
-        // Seeded bug (check builds): this warp's cycles silently
-        // vanish from the attribution — the class of defect
-        // prof.bucket_conservation exists to catch.
-        if (COOPRT_MUTATE(ProfMisattribution))
-            continue;
-
-        prof::WarpView v;
-        v.coop = cfg_.coop;
-        v.outstanding = w.outstanding;
-        if (end_of_tick) {
-            v.progressed = ((progress_ >> slot) & 1) != 0;
-            v.stole = ((stolen_ >> slot) & 1) != 0;
-        }
-        const std::uint32_t ready = w.ready();
-        v.any_stack_work = w.work != 0;
-        v.has_ready = ready != 0;
-        v.has_idle_lane = ~w.busy() != 0;
-        v.ready_all_stale = v.has_ready && (ready & ~w.stale) == 0;
-        if (cfg_.coop && !v.has_ready) {
-            // LBU-only progress: a helper/main pair in some subwarp
-            // (exactly the runLbu selection criteria).
-            const std::uint32_t hs = helpers(w), ms = mains(w);
-            for (int g = 0;
-                 g < kWarpSize / cfg_.subwarp_size && !v.lbu_eligible;
-                 ++g)
-                v.lbu_eligible = (hs & subwarp(g)) != 0 &&
-                                 (ms & subwarp(g)) != 0;
-        }
-        if (w.outstanding > 0 && best[slot] != kNever)
-            v.wait_level = prof::MemLevel(level[slot]);
-
-        const prof::Phase phase =
-            prof::phaseOf(w.consumed, v.any_stack_work);
-        const ThreadStatusCounts lanes = laneStatus(w); // Fig. 4 axes
-        notify(cycles_mask_, [&](RtObserver &o) {
-            o.onWarpCycles(int(slot), v, phase, weight, lanes);
-        });
+RtUnit::CycleView
+RtUnit::cycleView(const WarpEntry &w, std::int8_t level) const
+{
+    CycleView c;
+    prof::WarpView &v = c.view;
+    v.coop = cfg_.coop;
+    v.outstanding = w.outstanding;
+    const std::uint32_t ready = w.ready();
+    v.any_stack_work = w.work != 0;
+    v.has_ready = ready != 0;
+    v.has_idle_lane = ~w.busy() != 0;
+    v.ready_all_stale = v.has_ready && (ready & ~w.stale) == 0;
+    if (cfg_.coop && !v.has_ready) {
+        // LBU-only progress: a helper/main pair in some subwarp
+        // (exactly the runLbu selection criteria).
+        const std::uint32_t hs = helpers(w), ms = mains(w);
+        for (int g = 0;
+             g < kWarpSize / cfg_.subwarp_size && !v.lbu_eligible; ++g)
+            v.lbu_eligible = (hs & subwarp(g)) != 0 &&
+                             (ms & subwarp(g)) != 0;
     }
-    if (end_of_tick)
-        accounted_ = now;
+    if (w.outstanding > 0 && level >= 0)
+        v.wait_level = prof::MemLevel(level);
+    c.phase = prof::phaseOf(w.consumed, v.any_stack_work);
+    c.lanes = laneStatus(w); // Fig. 4 axes
+    return c;
 }
 
 std::uint64_t
@@ -976,6 +999,39 @@ RtUnit::sharePredictor(const RtUnit &other)
 }
 
 #if COOPRT_CHECK_ENABLED
+void
+RtUnit::auditGapViews(std::uint64_t now) const
+{
+    auto show = [](const CycleView &c) {
+        const prof::WarpView &v = c.view;
+        return "{progressed=" + std::to_string(v.progressed) +
+               " stole=" + std::to_string(v.stole) +
+               " ready=" + std::to_string(v.has_ready) +
+               " all_stale=" + std::to_string(v.ready_all_stale) +
+               " lbu=" + std::to_string(v.lbu_eligible) +
+               " outstanding=" + std::to_string(v.outstanding) +
+               " level=" + std::to_string(int(v.wait_level)) +
+               " work=" + std::to_string(v.any_stack_work) +
+               " idle_lane=" + std::to_string(v.has_idle_lane) +
+               " phase=" + std::to_string(int(c.phase)) +
+               " lanes=" + std::to_string(c.lanes.busy) + "/" +
+               std::to_string(c.lanes.waiting) + "/" +
+               std::to_string(c.lanes.inactive) + "}";
+    };
+    WaitLevels level;
+    waitLevels(level);
+    for (std::size_t slot = 0; slot < warps_.size(); ++slot) {
+        const WarpEntry &w = warps_[slot];
+        if (!w.valid)
+            continue;
+        const CycleView fresh = cycleView(w, level[slot]);
+        COOPRT_AUDIT(check_label_, "prof.gap_view_frozen", now,
+                     w.gap == fresh,
+                     "slot " + std::to_string(slot) + ": stored " +
+                         show(w.gap) + " recomputed " + show(fresh));
+    }
+}
+
 void
 RtUnit::auditInvariants(std::uint64_t now) const
 {

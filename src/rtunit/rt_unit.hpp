@@ -43,6 +43,7 @@
 #include "bvh/traversal.hpp"
 #include "geom/proxy.hpp"
 #include "geom/ray.hpp"
+#include "prof/prof.hpp"
 #include "rtunit/rt_observer.hpp"
 #include "rtunit/trace_config.hpp"
 #include "trace/chrome_trace.hpp"
@@ -171,7 +172,8 @@ class RtUnit
      * once per issued fetch that an observer needs (null reads L1).
      * With no observer (the default) no event work runs; simulated
      * behaviour is bit-identical either way (pinned-cycle proofs in
-     * tests/core).
+     * tests/core). Attach while no warp is resident: stall
+     * attribution starts from each warp's submit.
      */
     void attachObservers(std::vector<RtObserver *> observers,
                          LevelFn level);
@@ -242,6 +244,19 @@ class RtUnit
         std::int8_t main;
     };
 
+    /**
+     * A warp's onWarpCycles arguments apart from slot and weight,
+     * for a cycle with no progress or steal event.
+     */
+    struct CycleView
+    {
+        prof::WarpView view;
+        prof::Phase phase{};
+        ThreadStatusCounts lanes;
+
+        bool operator==(const CycleView &) const = default;
+    };
+
     /** Per-thread traversal state within a warp entry. */
     struct ThreadState
     {
@@ -279,6 +294,10 @@ class RtUnit
         RetireFn on_retire;
         /** First cycle not yet stall-attributed (onWarpCycles). */
         std::uint64_t cycles_from = 0;
+        /** The last end pass's view (progressed/stole cleared): the
+         *  warp is frozen until the next tick, whose gap pass credits
+         *  the idle-skipped span from it. */
+        CycleView gap;
         /** Consumed any response yet (traversal phase tracking). */
         bool consumed = false;
         /** Observers that watchesWarp (bits index the list): they
@@ -423,13 +442,24 @@ class RtUnit
     }
 
     /**
-     * Stall attribution for onWarpCycles. It runs in two passes per
-     * tick: a gap pass at tick entry covers the idle-skipped cycles
-     * since the last tick from the frozen pre-tick state, and an
-     * end-of-tick pass classifies the current cycle with the per-slot
-     * progress / steal masks recorded during the tick.
+     * Stall attribution for onWarpCycles, in two passes per tick. The
+     * gap pass at tick entry credits the idle-skipped cycles since
+     * the last tick from each warp's stored `gap` view: nothing
+     * changes a warp between one tick's end and the next tick's
+     * start. The end pass classifies the current cycle with the
+     * per-slot progress / steal masks recorded during the tick, and
+     * stores the view for the next gap pass.
      */
-    void attributeCycles(std::uint64_t now, bool end_of_tick);
+    void creditGap(std::uint64_t now);
+    void attributeTick(std::uint64_t now);
+
+    /** Serving level of each slot's earliest-ready response, -1 for
+     *  none (among equal readies, the first in heap-array order). */
+    using WaitLevels = std::array<std::int8_t, 64>;
+    void waitLevels(WaitLevels &level) const;
+    /** @p w's view for a cycle with no event; @p level from
+     *  waitLevels (-1: nothing in flight). */
+    CycleView cycleView(const WarpEntry &w, std::int8_t level) const;
 
     /** Slots that issued a fetch or consumed a response this tick. */
     std::uint64_t progress_ = 0;
@@ -445,6 +475,9 @@ class RtUnit
      * at the end of every tick. Read-only over simulated state.
      */
     void auditInvariants(std::uint64_t now) const;
+    /** prof.gap_view_frozen: every stored gap view equals a fresh
+     *  classification of its warp at tick entry. */
+    void auditGapViews(std::uint64_t now) const;
 
     std::string check_label_ = "rtunit";
     /** Trace_rays submitted (for rtunit.warp_conservation). */

@@ -1,5 +1,6 @@
 #include "trace/metrics.hpp"
 
+#include <charconv>
 #include <ostream>
 
 #include "check/check.hpp"
@@ -71,11 +72,22 @@ MetricsSampler::writeCsv(std::ostream &os) const
     for (const auto &c : columns_)
         os << ',' << c;
     os << '\n';
+    // %g at 6 significant digits, the default `ostream << double`
+    // format; each row goes out as one buffered line.
+    std::string line;
+    char buf[32];
     for (std::size_t r = 0; r < rows_.size(); ++r) {
-        os << cycles_[r];
-        for (const double v : rows_[r])
-            os << ',' << v;
-        os << '\n';
+        line.clear();
+        line.append(buf, std::to_chars(buf, buf + sizeof buf,
+                                       cycles_[r]).ptr);
+        for (const double v : rows_[r]) {
+            line += ',';
+            line.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                           std::chars_format::general,
+                                           6).ptr);
+        }
+        line += '\n';
+        os.write(line.data(), std::streamsize(line.size()));
     }
 }
 

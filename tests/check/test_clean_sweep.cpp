@@ -3,6 +3,9 @@
  * The other half of the mutation proof: with no mutation armed, the
  * audit net must stay silent across the whole benchmark scene sweep,
  * baseline and CoopRT, with and without an observability session.
+ * The sweep attaches a profiler, so the stall-attribution audits
+ * (prof.bucket_conservation, prof.gap_view_frozen) run on every
+ * scene too.
  * A false positive here would make every audit worthless in CI.
  *
  * In default builds the audits compile away, so the sweep doubles as
@@ -13,6 +16,7 @@
 
 #include "check/check.hpp"
 #include "core/simulation.hpp"
+#include "prof/prof.hpp"
 #include "scene/registry.hpp"
 #include "trace/session.hpp"
 
@@ -28,8 +32,10 @@ TEST_P(CleanSweep, NoViolationsBaseAndCoop)
     const std::uint64_t before = check::violationCount();
     check::Collector collector;
 
+    prof::Profiler profiler;
     core::RunConfig cfg;
     cfg.resolution = 16;
+    cfg.profiler = &profiler;
     cfg.gpu.trace.coop = false;
     const auto base = core::simulationFor(GetParam()).run(cfg);
     cfg.gpu.trace.coop = true;

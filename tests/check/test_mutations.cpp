@@ -224,6 +224,21 @@ TEST_F(MutationTest, ProfMisattribution)
                  });
 }
 
+TEST_F(MutationTest, StaleGapView)
+{
+    // The warp's first fetch sets its progress bit; a stored view
+    // that keeps it differs from the classification the next tick's
+    // gap pass recomputes from the frozen warp.
+    expectCaught(check::Mutation::StaleGapView, "prof.gap_view_frozen",
+                 [] {
+                     prof::RtUnitProfile profile;
+                     RtHarness h(testutil::makeSoup(8, 2000),
+                                 TraceConfig{});
+                     h.unit.attachObservers({&profile}, nullptr);
+                     h.runOne(testutil::frontalJob(rtunit::kWarpSize));
+                 });
+}
+
 TEST_F(MutationTest, MemscopeMisattribution)
 {
     // Dropping one line's serving-level increment breaks the
@@ -264,7 +279,7 @@ TEST_F(MutationTest, CatalogueFullyExercised)
 {
     // One TEST_F above per entry; this guards against a new Mutation
     // being added without a matching detection test.
-    EXPECT_EQ(check::allMutations().size(), 15u)
+    EXPECT_EQ(check::allMutations().size(), 16u)
         << "new mutation added: write its detection test and update "
            "this count";
 }

@@ -1,13 +1,18 @@
 /**
  * @file
  * Unit tests for the memory-side memscope profilers against
- * hand-computed traces: the Mattson reuse-distance stack
- * (CacheScope), its Fenwick-tree growth path, the per-set contention
- * counters and the DRAM row-locality scope.
+ * hand-computed traces and a naive reference: the Mattson
+ * reuse-distance stack (CacheScope), its position-compaction path,
+ * the per-set contention counters and the DRAM row-locality scope.
  */
+
+#include <algorithm>
+#include <bit>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "geom/rng.hpp"
 #include "memscope/memscope.hpp"
 
 namespace {
@@ -71,19 +76,97 @@ TEST(MemscopeReuse, BucketBoundaries)
 
 TEST(MemscopeReuse, FenwickGrowthPastInitialCapacity)
 {
-    // The position tree starts at 1024 entries and doubles; a trace
-    // longer than that must keep distances exact across the rebuild.
+    // Line 1 is re-touched after every new line, so most positions
+    // are superseded: the 6,000-odd touches fill the position space
+    // several times, and each fill compacts the present positions in
+    // order (line 0's stays the oldest) and resizes the space to
+    // about twice their count. Distances must stay exact across
+    // every compaction.
     memscope::CacheScope scope;
     const std::uint64_t n = 3000;
     scope.touch(0, 0);
-    for (std::uint64_t i = 1; i <= n; ++i)
+    scope.touch(1, 0);
+    for (std::uint64_t i = 2; i <= n + 1; ++i) {
         scope.touch(i, 0);
-    scope.touch(0, 0); // d = 3000, bit_width = 12
+        scope.touch(1, 0); // d = 1: only line i since
+    }
+    scope.touch(0, 0); // lines 1..n+1 since: d = 3001, bit_width = 12
 
-    EXPECT_EQ(scope.accesses(), n + 2);
-    EXPECT_EQ(scope.cold(), n + 1);
-    EXPECT_EQ(scope.reused(), 1u);
+    EXPECT_EQ(scope.accesses(), 2 * n + 3);
+    EXPECT_EQ(scope.cold(), n + 2);
+    EXPECT_EQ(scope.reused(), n + 1);
+    EXPECT_EQ(scope.hist()[1], n);
     EXPECT_EQ(scope.hist()[12], 1u);
+}
+
+/** The Mattson LRU stack kept the naive way: a vector of distinct
+ *  lines, most recent last, searched linearly on every touch. */
+struct NaiveReuse
+{
+    std::vector<std::uint64_t> stack;
+    std::uint64_t accesses = 0;
+    std::uint64_t cold = 0;
+    std::array<std::uint64_t, memscope::kReuseBuckets> hist{};
+    std::vector<std::uint64_t> sets;
+
+    void
+    touch(std::uint64_t line, std::uint32_t set)
+    {
+        accesses++;
+        if (set >= sets.size())
+            sets.resize(std::size_t(set) + 1, 0);
+        sets[set]++;
+        const auto it = std::find(stack.rbegin(), stack.rend(), line);
+        if (it == stack.rend()) {
+            cold++;
+        } else {
+            // Lines above it in the stack were touched since.
+            const auto d = std::uint64_t(it - stack.rbegin());
+            hist[std::size_t(std::min(int(std::bit_width(d)),
+                                      memscope::kReuseBuckets - 1))]++;
+            stack.erase(std::next(it).base());
+        }
+        stack.push_back(line);
+    }
+};
+
+TEST(MemscopeReuse, MatchesNaiveLruStackOnRandomStream)
+{
+    // 60K touches over ~3K lines: half to a 64-line hot set, half
+    // spread over the rest, with keys scattered over the whole 64-bit
+    // range. The live count stays near 3K, so the position space
+    // compacts about every 3K touches (~20 times per pass). The
+    // stream runs twice, across reset().
+    struct Touch
+    {
+        std::uint64_t line;
+        std::uint32_t set;
+    };
+    std::vector<Touch> stream(60'000);
+    geom::Pcg32 rng(25);
+    for (Touch &t : stream) {
+        const std::uint32_t id =
+            rng.nextBelow(2) == 0 ? rng.nextBelow(64) : rng.nextBelow(3000);
+        t.line = std::uint64_t(id) * 0x9e3779b97f4a7c15ull;
+        t.set = id % 61;
+    }
+
+    memscope::CacheScope scope;
+    for (int pass = 0; pass < 2; ++pass) {
+        NaiveReuse ref;
+        for (const Touch &t : stream) {
+            scope.touch(t.line, t.set);
+            ref.touch(t.line, t.set);
+        }
+        EXPECT_EQ(scope.accesses(), ref.accesses) << "pass " << pass;
+        EXPECT_EQ(scope.cold(), ref.cold) << "pass " << pass;
+        for (int b = 0; b < memscope::kReuseBuckets; ++b)
+            EXPECT_EQ(scope.hist()[std::size_t(b)],
+                      ref.hist[std::size_t(b)])
+                << "pass " << pass << " bucket " << b;
+        EXPECT_EQ(scope.setAccesses(), ref.sets) << "pass " << pass;
+        scope.reset();
+    }
 }
 
 TEST(MemscopeReuse, SetContentionCounters)

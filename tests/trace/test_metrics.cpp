@@ -5,7 +5,10 @@
  * GPU's activity-sampling clock; see TraceIntegration).
  */
 
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -87,6 +90,55 @@ TEST(MetricsSampler, CsvHasHeaderAndOneRowPerSample)
     ASSERT_TRUE(std::getline(lines, line));
     EXPECT_EQ(line.substr(0, 4), "500,");
     EXPECT_FALSE(std::getline(lines, line));
+}
+
+TEST(MetricsSampler, CsvCellsMatchDefaultStreamFormat)
+{
+    // Every cell is written as `std::ostringstream << double` writes
+    // it (%g, 6 significant digits), across the format's edge cases.
+    const std::vector<double> values = {
+        0.0,
+        -0.0,
+        0.1,
+        1e-5,
+        123456.0,
+        1234567.0,
+        0.000123456789,
+        1e21,
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+    };
+    Registry reg;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        // Zero-padded names keep the columns in value order.
+        const double v = values[i];
+        reg.probe((i < 10 ? "v0" : "v") + std::to_string(i),
+                  [v] { return v; });
+    }
+    MetricsSampler m(&reg);
+    m.sample(1234);
+    std::ostringstream ss;
+    m.writeCsv(ss);
+
+    std::istringstream lines(ss.str());
+    std::string header, row;
+    ASSERT_TRUE(std::getline(lines, header));
+    ASSERT_TRUE(std::getline(lines, row));
+    std::istringstream cells(row);
+    std::string cell;
+    ASSERT_TRUE(std::getline(cells, cell, ','));
+    EXPECT_EQ(cell, "1234");
+    for (const double v : values) {
+        ASSERT_TRUE(std::getline(cells, cell, ','));
+        std::ostringstream want;
+        want << v;
+        EXPECT_EQ(cell, want.str()) << "value " << v;
+    }
+    EXPECT_FALSE(std::getline(cells, cell, ','));
 }
 
 TEST(MetricsSampler, ResetDropsData)
