@@ -172,6 +172,61 @@ TEST(ProfIntegration, CoopFoldedExportMatchesGolden)
     EXPECT_NE(got.str().find(";rtunit;stack_bound "), std::string::npos);
 }
 
+/** The contents of golden file @p name (empty when it is missing). */
+std::string
+golden(const std::string &name)
+{
+    std::ifstream gf(std::string(COOPRT_PROF_GOLDEN_DIR) + "/" + name);
+    EXPECT_TRUE(gf) << "missing golden file " << name;
+    std::stringstream want;
+    want << gf.rdbuf();
+    return want.str();
+}
+
+TEST(ProfIntegration, ShipCoopProfileMatchesGolden)
+{
+    // Ship CoopRT at its bench resolution: warps whose earliest
+    // responses tie on the ready cycle at different serving levels
+    // take their wait level from the response FIFO's array order, so
+    // this pins the tie path of the stall attribution as well.
+    // Regenerate with:
+    //   simulate_cli --scene ship --coop --profile
+    //     --profile-out tests/prof/golden/ship_pt_coop.folded
+    //     --profile-json tests/prof/golden/ship_pt_coop.prof.json
+    prof::Profiler profiler;
+    const auto out = runProfiled(profiler, "ship", 0, true);
+    std::ostringstream folded, json;
+    profiler.writeFolded(folded, out.scene);
+    profiler.writeJson(json, out.scene);
+    EXPECT_EQ(folded.str(), golden("ship_pt_coop.folded"));
+    EXPECT_EQ(json.str(), golden("ship_pt_coop.prof.json"));
+}
+
+TEST(ProfIntegration, ProfMetricsCsvMatchesGolden)
+{
+    // Every column of a profiled metrics CSV, the 120 prof.* columns
+    // included, byte for byte. Each row's prof.* values lag the
+    // sampled cycle by one gap: a row carries the cycles attributed
+    // up to each unit's last tick before the sample boundary.
+    // Regenerate with:
+    //   simulate_cli --scene wknd --coop --resolution 24 --profile
+    //     --metrics tests/prof/golden/wknd24_pt_coop_prof.metrics.csv
+    trace::SessionOptions opt;
+    opt.metrics = true;
+    trace::Session session(opt);
+    prof::Profiler profiler;
+    core::RunConfig cfg;
+    cfg.resolution = 24;
+    cfg.gpu.trace.coop = true;
+    cfg.trace_session = &session;
+    cfg.profiler = &profiler;
+    core::simulationFor("wknd").run(cfg);
+
+    std::ostringstream got;
+    session.writeMetricsCsv(got);
+    EXPECT_EQ(got.str(), golden("wknd24_pt_coop_prof.metrics.csv"));
+}
+
 TEST(ProfIntegration, FoldedLinesAreWellFormed)
 {
     prof::Profiler profiler;
