@@ -92,6 +92,8 @@ mutationName(Mutation m)
       case Mutation::StaleLineIndex: return "StaleLineIndex";
       case Mutation::StaleTosMask: return "StaleTosMask";
       case Mutation::StaleGapView: return "StaleGapView";
+      case Mutation::UntouchedStaleDrop: return "UntouchedStaleDrop";
+      case Mutation::LevelTieIgnored: return "LevelTieIgnored";
     }
     return "Unknown";
 }
@@ -108,6 +110,7 @@ allMutations()
         Mutation::RayProvenanceDrop,    Mutation::MemscopeMisattribution,
         Mutation::StaleLaneMask,         Mutation::StaleLineIndex,
         Mutation::StaleTosMask,          Mutation::StaleGapView,
+        Mutation::UntouchedStaleDrop,    Mutation::LevelTieIgnored,
     };
     return all;
 }

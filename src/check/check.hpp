@@ -162,6 +162,12 @@ enum class Mutation
     StaleTosMask,
     /** The RT unit stores a warp's gap view with progressed set. */
     StaleGapView,
+    /** The RT unit's end pass skips a warp that only dropped stale
+        stack entries. */
+    UntouchedStaleDrop,
+    /** The RT unit resolves a wait-level tie without the heap's
+        array order. */
+    LevelTieIgnored,
 };
 
 /** Stable name of @p m ("DoubleConsumeResponse", ...). */

@@ -77,8 +77,13 @@ Gpu::sampleActivity(std::uint64_t cycle)
     // activity sampler, so the exported `rtunit.thread_utilization`
     // CSV column reproduces ActivitySampler::series() exactly.
     util_now_ = double(total.busy) / double(total.total());
-    if (metrics != nullptr)
+    if (metrics != nullptr) {
+        // The RT units credit untouched warps' cycles lazily: bring
+        // every unit's prof.* totals up to its last tick first.
+        for (auto &sm : sms_)
+            sm->rtUnit().flushCycles();
         metrics->sample(cycle);
+    }
     COOPRT_TRACE_COUNTER(tracer, "rtunit", "thread_utilization",
                          cfg_.num_sms, cycle, util_now_);
     if (mscope_ != nullptr && tracer != nullptr) {

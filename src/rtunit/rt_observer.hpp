@@ -81,8 +81,9 @@ class RtObserver
     RtObserver &operator=(RtObserver &&) = default;
     virtual ~RtObserver() = default;
 
-    /** Asks for onWarpCycles; the unit then classifies every
-     *  resident warp cycle (its only per-tick observer pass). */
+    /** Asks for onWarpCycles; the unit then attributes every
+     *  resident warp cycle (its only per-tick observer pass, over
+     *  the warps an event touched). */
     virtual bool wantsWarpCycles() const { return false; }
     /** Asks for onLaneEdges at every lane state change of a warp it
      *  watches. */
@@ -136,7 +137,10 @@ class RtObserver
     virtual void onRetire(int /*slot*/, std::uint64_t) {}
     /** @p weight cycles of the resident warp in @p slot, with its
      *  classification inputs, phase and per-lane status
-     *  (wantsWarpCycles). */
+     *  (wantsWarpCycles). A warp no event touched is credited
+     *  lazily: its spans arrive in cycle order and before its
+     *  onRetire, but may trail other warps' later events; read
+     *  totals between ticks only after RtUnit::flushCycles. */
     virtual void onWarpCycles(int /*slot*/, const prof::WarpView &,
                               prof::Phase, std::uint64_t /*weight*/,
                               const ThreadStatusCounts &)

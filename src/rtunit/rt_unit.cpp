@@ -139,6 +139,8 @@ RtUnit::attachObservers(std::vector<RtObserver *> observers,
         if (obs_[i]->wantsFetchTopology())
             topology_mask_ |= bit;
     }
+    waits_.assign(cycles_mask_ != 0 ? warps_.size() : 0, WaitTrack{});
+    tied_ = 0;
 }
 
 std::size_t
@@ -220,6 +222,8 @@ RtUnit::freeSlots() const
 void
 RtUnit::pushResponse(Response r)
 {
+    if (cycles_mask_ != 0)
+        trackResponse(r, true);
     // Exactly std::priority_queue<Response, vector, greater>::push.
     responses_.push_back(std::move(r));
     std::push_heap(responses_.begin(), responses_.end(),
@@ -233,7 +237,41 @@ RtUnit::popResponse()
                   std::greater<Response>{});
     Response r = std::move(responses_.back());
     responses_.pop_back();
+    if (cycles_mask_ != 0)
+        trackResponse(r, false);
     return r;
+}
+
+void
+RtUnit::trackResponse(const Response &r, bool queued)
+{
+    WaitTrack &t = waits_[std::size_t(r.slot)];
+    const int head = std::countr_zero(r.consumers);
+    if (queued) {
+        t.head_ready[std::size_t(head)] = r.ready;
+        t.head_level[std::size_t(head)] = r.level;
+        t.heads |= 1u << head;
+    } else {
+        t.heads &= ~(1u << head);
+    }
+    // Rescan the slot's own responses for its earliest ready and
+    // whether two of them tie there at different levels.
+    t.ready = kNever;
+    t.level = -1;
+    bool tied = false;
+    for (std::uint32_t m = t.heads; m != 0; m &= m - 1) {
+        const std::size_t h = std::size_t(std::countr_zero(m));
+        if (t.head_ready[h] < t.ready) {
+            t.ready = t.head_ready[h];
+            t.level = t.head_level[h];
+            tied = false;
+        } else if (t.head_ready[h] == t.ready &&
+                   t.head_level[h] != t.level) {
+            tied = true;
+        }
+    }
+    const std::uint64_t bit = 1ull << std::uint64_t(r.slot);
+    tied_ = tied ? tied_ | bit : tied_ & ~bit;
 }
 
 int
@@ -256,6 +294,7 @@ RtUnit::submit(const TraceJob &job, std::uint64_t now, RetireFn on_retire)
     w.query = job.query;
     w.issue_cycle = now;
     w.on_retire = std::move(on_retire);
+    w.cycles_from = now; // attribution starts at the submit cycle
 
     for (int t = 0; t < kWarpSize; ++t) {
         ThreadState &th = w.th[std::size_t(t)];
@@ -293,21 +332,17 @@ RtUnit::submit(const TraceJob &job, std::uint64_t now, RetireFn on_retire)
     // A warp whose rays all missed the scene box retires immediately.
     maybeRetire(slot, now);
 
-    if (w.valid) {
-        // Attribution starts at the submit cycle. A retired slot may
-        // be recycled within one tick, so drop any event bits its
-        // previous occupant left behind; and when the end-of-tick
-        // pass for this cycle already ran (post-tick submits from the
-        // SM), classify the submit cycle right away so it is not
-        // lost from the conservation sum.
-        progress_ &= ~(1ull << std::uint64_t(slot));
-        stolen_ &= ~(1ull << std::uint64_t(slot));
-        w.cycles_from = now;
-        if (cycles_mask_ != 0) {
-            if (accounted_ == now)
-                attributeTick(now);
-            else
-                w.gap = cycleView(w, -1); // nothing in flight yet
+    if (w.valid && cycles_mask_ != 0) {
+        w.gap = cycleView(w, -1); // nothing in flight yet
+        // When this cycle's end pass already ran (post-tick submits
+        // from the SM), classify the submit cycle right away so it is
+        // not lost from the conservation sum.
+        if (accounted_ == now) {
+            w.cycles_from = now + 1;
+            notify(cycles_mask_, [&](RtObserver &o) {
+                o.onWarpCycles(slot, w.gap.view, w.gap.phase, 1,
+                               w.gap.lanes);
+            });
         }
     }
     return slot;
@@ -420,6 +455,7 @@ void
 RtUnit::dropStaleWork(int slot, WarpEntry &w, int tid,
                       std::uint64_t now)
 {
+    dropped_ |= 1ull << std::uint64_t(slot);
     // Each pop re-derives the lane's stale bit from its new TOS.
     while (((w.stale >> tid) & 1u) != 0) {
         const StackEntry dropped = popWork(w, tid);
@@ -788,6 +824,10 @@ RtUnit::maybeRetire(int slot, std::uint64_t now)
         }
     }
 
+    // The warp's lazily credited span, before observers see it go.
+    if (cycles_mask_ != 0)
+        creditGap(std::size_t(slot), now);
+
     stats_.retired_warps++;
     const std::uint64_t lat = result.latency();
     stats_.retired_trace_latency += lat;
@@ -829,13 +869,14 @@ RtUnit::tick(std::uint64_t now)
     last_tick_ = now;
 
     COOPRT_CHECK_ONLY(audit_issues_this_tick_ = 0;)
-    // Attribute the idle-skipped gap since the last tick from the
-    // frozen pre-tick state, then collect this tick's per-slot
-    // progress/steal events.
+#if COOPRT_CHECK_ENABLED
     if (cycles_mask_ != 0)
-        creditGap(now);
+        auditGapViews(now);
+#endif
+    // Collect this tick's per-slot events for the end pass.
     progress_ = 0;
     stolen_ = 0;
+    dropped_ = 0;
     tryIssue(now);
     runLbu(now);
     processOneResponse(now);
@@ -847,40 +888,26 @@ RtUnit::tick(std::uint64_t now)
 }
 
 void
-RtUnit::creditGap(std::uint64_t now)
-{
-#if COOPRT_CHECK_ENABLED
-    auditGapViews(now);
-#endif
-    for (std::size_t slot = 0; slot < warps_.size(); ++slot) {
-        WarpEntry &w = warps_[slot];
-        if (!w.valid || w.cycles_from >= now)
-            continue; // no idle-skipped gap to attribute
-        const std::uint64_t weight = now - w.cycles_from;
-        w.cycles_from = now;
-        // Seeded bug (check builds): this warp's cycles silently
-        // vanish from the attribution — the class of defect
-        // prof.bucket_conservation exists to catch.
-        if (COOPRT_MUTATE(ProfMisattribution))
-            continue;
-        notify(cycles_mask_, [&](RtObserver &o) {
-            o.onWarpCycles(int(slot), w.gap.view, w.gap.phase, weight,
-                           w.gap.lanes);
-        });
-    }
-}
-
-void
 RtUnit::attributeTick(std::uint64_t now)
 {
-    WaitLevels level;
-    waitLevels(level);
-    for (std::size_t slot = 0; slot < warps_.size(); ++slot) {
+    const std::uint64_t touched = progress_ | stolen_ | dropped_ | tied_;
+    for (std::uint64_t m = touched; m != 0; m &= m - 1) {
+        const std::size_t slot = std::size_t(std::countr_zero(m));
         WarpEntry &w = warps_[slot];
         if (!w.valid || w.cycles_from > now)
-            continue; // this cycle is already attributed
+            continue; // retired, or this cycle is already attributed
+        const CycleView fresh = cycleView(w, waitLevel(slot));
+#if COOPRT_CHECK_ENABLED
+        // Seeded bug: a warp whose only event was a stale drop keeps
+        // the view from before it — prof.gap_view_frozen catches it.
+        const std::uint64_t other = progress_ | stolen_ | tied_;
+        if (((other >> slot) & 1) == 0 && !(fresh == w.gap) &&
+            COOPRT_MUTATE(UntouchedStaleDrop))
+            continue;
+#endif
+        creditGap(slot, now);
         w.cycles_from = now + 1;
-        w.gap = cycleView(w, level[slot]);
+        w.gap = fresh;
         prof::WarpView v = w.gap.view;
         v.progressed = ((progress_ >> slot) & 1) != 0;
         v.stole = ((stolen_ >> slot) & 1) != 0;
@@ -898,17 +925,50 @@ RtUnit::attributeTick(std::uint64_t now)
 }
 
 void
-RtUnit::waitLevels(WaitLevels &level) const
+RtUnit::creditGap(std::size_t slot, std::uint64_t until)
 {
-    std::array<std::uint64_t, 64> best;
-    std::fill_n(best.begin(), warps_.size(), kNever);
-    std::fill_n(level.begin(), warps_.size(), std::int8_t(-1));
+    WarpEntry &w = warps_[slot];
+    if (w.cycles_from >= until)
+        return;
+    const std::uint64_t weight = until - w.cycles_from;
+    w.cycles_from = until;
+    // Seeded bug (check builds): this warp's cycles silently vanish
+    // from the attribution — the class of defect
+    // prof.bucket_conservation exists to catch.
+    if (COOPRT_MUTATE(ProfMisattribution))
+        return;
+    notify(cycles_mask_, [&](RtObserver &o) {
+        o.onWarpCycles(int(slot), w.gap.view, w.gap.phase, weight,
+                       w.gap.lanes);
+    });
+}
+
+void
+RtUnit::flushCycles()
+{
+    if (cycles_mask_ == 0 || accounted_ == kNever)
+        return;
+    for (std::size_t slot = 0; slot < warps_.size(); ++slot)
+        if (warps_[slot].valid)
+            creditGap(slot, accounted_ + 1);
+}
+
+std::int8_t
+RtUnit::waitLevel(std::size_t slot) const
+{
+    const WaitTrack &t = waits_[slot];
+    if (((tied_ >> slot) & 1) == 0)
+        return t.level;
     for (const Response &r : responses_) {
-        if (r.ready < best[std::size_t(r.slot)]) {
-            best[std::size_t(r.slot)] = r.ready;
-            level[std::size_t(r.slot)] = r.level;
-        }
+        if (std::size_t(r.slot) != slot || r.ready != t.ready)
+            continue;
+        // Seeded bug: the tie goes to the tracked level, not to the
+        // heap's array order — prof.gap_view_frozen catches it.
+        if (r.level != t.level && COOPRT_MUTATE(LevelTieIgnored))
+            return t.level;
+        return r.level;
     }
+    return t.level;
 }
 
 RtUnit::CycleView
@@ -999,6 +1059,20 @@ RtUnit::sharePredictor(const RtUnit &other)
 }
 
 #if COOPRT_CHECK_ENABLED
+void
+RtUnit::waitLevels(WaitLevels &level) const
+{
+    std::array<std::uint64_t, 64> best;
+    std::fill_n(best.begin(), warps_.size(), kNever);
+    std::fill_n(level.begin(), warps_.size(), std::int8_t(-1));
+    for (const Response &r : responses_) {
+        if (r.ready < best[std::size_t(r.slot)]) {
+            best[std::size_t(r.slot)] = r.ready;
+            level[std::size_t(r.slot)] = r.level;
+        }
+    }
+}
+
 void
 RtUnit::auditGapViews(std::uint64_t now) const
 {

@@ -224,6 +224,16 @@ class RtUnit
     ThreadStatusCounts threadStatus() const;
 
     /**
+     * Credit every resident warp's stall attribution (onWarpCycles)
+     * through this unit's last tick. The end pass classifies only the
+     * warps an event touched and the others catch up lazily, so call
+     * this before reading an observer's totals between ticks (the
+     * GPU does, before each metrics row). No-op without a
+     * wantsWarpCycles observer.
+     */
+    void flushCycles();
+
+    /**
      * Share another RT unit's intersection-predictor table (a
      * GPU-wide predictor, so spatial locality between warps on
      * different SMs is not fragmented). No-op when the predictor is
@@ -294,9 +304,10 @@ class RtUnit
         RetireFn on_retire;
         /** First cycle not yet stall-attributed (onWarpCycles). */
         std::uint64_t cycles_from = 0;
-        /** The last end pass's view (progressed/stole cleared): the
-         *  warp is frozen until the next tick, whose gap pass credits
-         *  the idle-skipped span from it. */
+        /** The warp's view since its last classification
+         *  (progressed/stole cleared): no event has touched it since,
+         *  so every cycle from `cycles_from` to the next touch is
+         *  credited from it (creditGap). */
         CycleView gap;
         /** Consumed any response yet (traversal phase tracking). */
         bool consumed = false;
@@ -329,6 +340,25 @@ class RtUnit
     void pushResponse(Response r);
     /** Min-heap pop of responses_.front(). */
     Response popResponse();
+
+    /**
+     * A slot's in-flight responses as prof's wait level sees them
+     * (allocated only for a wantsWarpCycles observer). A lane has at
+     * most one fetch in flight, so the consumer masks of one slot's
+     * responses are disjoint and each response is named by its
+     * lowest consumer lane.
+     */
+    struct WaitTrack
+    {
+        std::uint32_t heads = 0; ///< lowest consumer lane per response
+        std::int8_t level = -1;  ///< serving level at `ready`
+        std::uint64_t ready = kNever; ///< the slot's earliest ready
+        std::array<std::uint64_t, kWarpSize> head_ready{};
+        std::array<std::int8_t, kWarpSize> head_level{};
+    };
+    /** Keep waits_[r.slot] and tied_ current after @p r was pushed
+     *  (@p queued) or popped. */
+    void trackResponse(const Response &r, bool queued);
 
     /**
      * LBU helper candidates: an empty stack, and under
@@ -407,8 +437,9 @@ class RtUnit
     /**
      * The response FIFO, kept as an explicit min-heap on `ready`
      * (std::push_heap/std::pop_heap — behaviourally identical to the
-     * std::priority_queue it replaces) so the audit layer can iterate
-     * outstanding responses per warp slot.
+     * std::priority_queue it replaces) so the audit layer and prof's
+     * wait-level tie fallback (waitLevel) can iterate outstanding
+     * responses per warp slot.
      */
     std::vector<Response> responses_;
 
@@ -442,29 +473,41 @@ class RtUnit
     }
 
     /**
-     * Stall attribution for onWarpCycles, in two passes per tick. The
-     * gap pass at tick entry credits the idle-skipped cycles since
-     * the last tick from each warp's stored `gap` view: nothing
-     * changes a warp between one tick's end and the next tick's
-     * start. The end pass classifies the current cycle with the
-     * per-slot progress / steal masks recorded during the tick, and
-     * stores the view for the next gap pass.
+     * Stall attribution for onWarpCycles, paid per event. The end
+     * pass classifies the current cycle of each warp this tick's
+     * events touched (issue, consume, steal, stale drop) or whose
+     * wait level is tied, and stores the view in its `gap`. Every
+     * other warp is unchanged since its last classification, so its
+     * cycles are credited lazily from `gap` (creditGap): at its next
+     * classification, at its retire, or by flushCycles.
      */
-    void creditGap(std::uint64_t now);
     void attributeTick(std::uint64_t now);
+    /** Credit @p slot's cycles from `cycles_from` up to @p until
+     *  from its stored `gap` view. */
+    void creditGap(std::size_t slot, std::uint64_t until);
 
-    /** Serving level of each slot's earliest-ready response, -1 for
-     *  none (among equal readies, the first in heap-array order). */
-    using WaitLevels = std::array<std::int8_t, 64>;
-    void waitLevels(WaitLevels &level) const;
+    /**
+     * Serving level of @p slot's earliest-ready response, -1 for
+     * none. Among equal readies at different levels, the first in
+     * heap-array order: pops and pushes for other slots reorder that
+     * array, so such a tied slot is reclassified at every end pass.
+     */
+    std::int8_t waitLevel(std::size_t slot) const;
     /** @p w's view for a cycle with no event; @p level from
-     *  waitLevels (-1: nothing in flight). */
+     *  waitLevel (-1: nothing in flight). */
     CycleView cycleView(const WarpEntry &w, std::int8_t level) const;
 
     /** Slots that issued a fetch or consumed a response this tick. */
     std::uint64_t progress_ = 0;
     /** Slots the LBU served this tick. */
     std::uint64_t stolen_ = 0;
+    /** Slots that dropped a stale stack entry this tick. */
+    std::uint64_t dropped_ = 0;
+    /** Slots whose earliest responses tie on `ready` at different
+     *  levels (kept with waits_). */
+    std::uint64_t tied_ = 0;
+    /** Per-slot wait tracking; empty unless cycles_mask_ != 0. */
+    std::vector<WaitTrack> waits_;
     /** Last cycle the end-of-tick pass accounted (kNever = none). */
     std::uint64_t accounted_ = kNever;
 
@@ -476,8 +519,13 @@ class RtUnit
      */
     void auditInvariants(std::uint64_t now) const;
     /** prof.gap_view_frozen: every stored gap view equals a fresh
-     *  classification of its warp at tick entry. */
+     *  classification of its warp at tick entry, its wait level
+     *  rescanned from the whole response FIFO (waitLevels). */
     void auditGapViews(std::uint64_t now) const;
+    /** Serving level of each slot's earliest-ready response, -1 for
+     *  none (among equal readies, the first in heap-array order). */
+    using WaitLevels = std::array<std::int8_t, 64>;
+    void waitLevels(WaitLevels &level) const;
 
     std::string check_label_ = "rtunit";
     /** Trace_rays submitted (for rtunit.warp_conservation). */

@@ -16,24 +16,22 @@ MetricsSampler::MetricsSampler(const Registry *registry,
 void
 MetricsSampler::sample(std::uint64_t cycle)
 {
-    const std::vector<MetricSample> snap =
-        registry_->snapshot(filter_);
-    if (columns_.empty()) {
-        columns_.reserve(snap.size());
-        for (const auto &s : snap)
-            columns_.push_back(s.name);
+    // The first row fixes the columns; late registrations (which
+    // would misalign the rows) are dropped. Each column is bound to
+    // its probe once, and again only when registrations change.
+    if (columns_.empty())
+        columns_ = registry_->names(filter_);
+    if (bound_.size() != columns_.size() ||
+        bound_generation_ != registry_->generation()) {
+        bound_.clear();
+        for (const std::string &name : columns_)
+            bound_.push_back(registry_->find(name));
+        bound_generation_ = registry_->generation();
     }
-    // The registered metric set is fixed for a run, so rows align
-    // with the first snapshot's columns; late registrations (which
-    // would misalign) are dropped by matching on name.
-    std::vector<double> row(columns_.size(), 0.0);
-    std::size_t j = 0;
-    for (const auto &s : snap) {
-        while (j < columns_.size() && columns_[j] < s.name)
-            ++j;
-        if (j < columns_.size() && columns_[j] == s.name)
-            row[j] = s.value;
-    }
+    std::vector<double> row;
+    row.reserve(bound_.size());
+    for (const Registry::Probe *p : bound_)
+        row.push_back(p != nullptr && *p ? (*p)() : 0.0);
     std::uint64_t recorded = cycle;
     if (!cycles_.empty() && COOPRT_MUTATE(MetricsCycleRepeat))
         recorded = cycles_.back(); // the sampler's clock stalls
@@ -95,6 +93,7 @@ void
 MetricsSampler::reset()
 {
     columns_.clear();
+    bound_.clear();
     cycles_.clear();
     rows_.clear();
 }

@@ -31,14 +31,14 @@ class MetricsSampler
 {
   public:
     /**
-     * @param registry Snapshot source; must outlive the sampler's
+     * @param registry Probe source; must outlive the sampler's
      *                 sample() calls (rows themselves are copies).
      * @param filter   Column filter (see nameMatchesFilter).
      */
     explicit MetricsSampler(const Registry *registry,
                             std::string filter = {});
 
-    /** Snapshot the registry as the row of @p cycle. */
+    /** Read every column's probe as the row of @p cycle. */
     void sample(std::uint64_t cycle);
 
     std::size_t sampleCount() const { return cycles_.size(); }
@@ -68,6 +68,10 @@ class MetricsSampler
     const Registry *registry_;
     std::string filter_;
     std::vector<std::string> columns_;
+    /** Each column's probe (null: not registered, reads 0), bound
+     *  at registry generation bound_generation_. */
+    std::vector<const Registry::Probe *> bound_;
+    std::uint64_t bound_generation_ = 0;
     std::vector<std::uint64_t> cycles_;
     std::vector<std::vector<double>> rows_;
 };

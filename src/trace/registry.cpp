@@ -32,6 +32,7 @@ void
 Registry::probe(const std::string &name, Probe fn, const void *owner)
 {
     probes_[name] = ProbeEntry{std::move(fn), owner};
+    ++generation_;
 }
 
 void
@@ -40,10 +41,12 @@ Registry::unregisterOwner(const void *owner)
     if (owner == nullptr)
         return;
     for (auto it = probes_.begin(); it != probes_.end();) {
-        if (it->second.owner == owner)
+        if (it->second.owner == owner) {
             it = probes_.erase(it);
-        else
+            ++generation_;
+        } else {
             ++it;
+        }
     }
 }
 
@@ -56,6 +59,23 @@ Registry::snapshot(std::string_view filter) const
         if (nameMatchesFilter(name, filter))
             out.push_back({name, p.fn ? p.fn() : 0.0});
     return out;
+}
+
+std::vector<std::string>
+Registry::names(std::string_view filter) const
+{
+    std::vector<std::string> out;
+    for (const auto &entry : probes_)
+        if (nameMatchesFilter(entry.first, filter))
+            out.push_back(entry.first);
+    return out;
+}
+
+const Registry::Probe *
+Registry::find(std::string_view name) const
+{
+    const auto it = probes_.find(name);
+    return it != probes_.end() ? &it->second.fn : nullptr;
 }
 
 } // namespace cooprt::trace

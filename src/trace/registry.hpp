@@ -9,10 +9,11 @@
  *     reg.probe("rtunit.sm0.node_fetches",
  *               [this] { return double(stats_.node_fetches); }, this);
  *
- * and the simulator (or any tool) takes named snapshots of the whole
- * registry — optionally restricted by a filter such as `rtunit.*` —
- * at sampling boundaries. Snapshots are value copies, so they stay
- * valid after the components (and their probes) are gone.
+ * and the simulator (or any tool) reads them by name: the
+ * MetricsSampler lists the names matching a filter such as `rtunit.*`
+ * once, binds each to its probe with find(), and rebinds only when
+ * generation() says the registrations changed; snapshot() copies
+ * every matching (name, value) pair at once.
  *
  * Every metric is a probe: a callback reading a component's live
  * state (existing stats structs stay the public API; the registry is
@@ -29,6 +30,7 @@
 #define COOPRT_TRACE_REGISTRY_HPP
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
@@ -59,7 +61,7 @@ struct MetricSample
 class Registry
 {
   public:
-    /** A live-state reader; invoked at snapshot time. */
+    /** A live-state reader; invoked at each read. */
     using Probe = std::function<double()>;
 
     /**
@@ -77,6 +79,20 @@ class Registry
      *  name. */
     std::vector<MetricSample> snapshot(std::string_view filter = {}) const;
 
+    /** Names of the probes matching @p filter, sorted. */
+    std::vector<std::string> names(std::string_view filter = {}) const;
+
+    /**
+     * The probe registered under @p name, or null. The pointer stays
+     * valid until generation() changes.
+     */
+    const Probe *find(std::string_view name) const;
+
+    /** Advances on every probe() and every unregisterOwner() that
+     *  drops a probe: a reader holding find() results rebinds when
+     *  it changes. */
+    std::uint64_t generation() const { return generation_; }
+
     /** Registered probe count. */
     std::size_t size() const { return probes_.size(); }
 
@@ -87,7 +103,9 @@ class Registry
         const void *owner = nullptr;
     };
 
-    std::map<std::string, ProbeEntry> probes_; // iterates name-sorted
+    // Iterates name-sorted; std::less<> looks up by string_view.
+    std::map<std::string, ProbeEntry, std::less<>> probes_;
+    std::uint64_t generation_ = 0;
 };
 
 } // namespace cooprt::trace

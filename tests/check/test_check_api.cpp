@@ -107,7 +107,7 @@ TEST(CheckApi, DisarmCancelsWithoutFiring)
 TEST(CheckApi, MutationCatalogueIsCompleteAndNamed)
 {
     const auto &all = check::allMutations();
-    EXPECT_EQ(all.size(), 16u);
+    EXPECT_EQ(all.size(), 18u);
     std::set<std::string> names;
     for (const check::Mutation m : all) {
         ASSERT_NE(m, check::Mutation::None);

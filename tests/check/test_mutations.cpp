@@ -239,6 +239,38 @@ TEST_F(MutationTest, StaleGapView)
                  });
 }
 
+/** A profiled CoopRT frame of @p scene at 16 px. */
+void
+runProfiledFrame(const char *scene)
+{
+    prof::Profiler profiler;
+    core::RunConfig cfg;
+    cfg.resolution = 16;
+    cfg.gpu.trace.coop = true;
+    cfg.profiler = &profiler;
+    core::simulationFor(scene).run(cfg);
+}
+
+TEST_F(MutationTest, UntouchedStaleDrop)
+{
+    // A warp whose only event in a tick is a stale drop has new stack
+    // masks; an end pass that skips it keeps a stored view the next
+    // tick's entry audit recomputes differently.
+    expectCaught(check::Mutation::UntouchedStaleDrop,
+                 "prof.gap_view_frozen",
+                 [] { runProfiledFrame("ship"); });
+}
+
+TEST_F(MutationTest, LevelTieIgnored)
+{
+    // A warp whose earliest responses tie on the ready cycle at
+    // different levels waits on the first of them in the FIFO's
+    // array order; any other answer differs from the audit's rescan.
+    expectCaught(check::Mutation::LevelTieIgnored,
+                 "prof.gap_view_frozen",
+                 [] { runProfiledFrame("ship"); });
+}
+
 TEST_F(MutationTest, MemscopeMisattribution)
 {
     // Dropping one line's serving-level increment breaks the
@@ -279,7 +311,7 @@ TEST_F(MutationTest, CatalogueFullyExercised)
 {
     // One TEST_F above per entry; this guards against a new Mutation
     // being added without a matching detection test.
-    EXPECT_EQ(check::allMutations().size(), 16u)
+    EXPECT_EQ(check::allMutations().size(), 18u)
         << "new mutation added: write its detection test and update "
            "this count";
 }

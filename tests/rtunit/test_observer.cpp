@@ -7,6 +7,8 @@
  * wantsFetchTopology gates must withhold exactly what they gate.
  */
 
+#include <algorithm>
+#include <array>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -174,6 +176,168 @@ TEST(RtObserver, TopologyTagsOnlyWhenWanted)
         EXPECT_EQ(obs.tagged_fetches, want ? obs.fetches : 0u)
             << "topology wanted: " << want;
     }
+}
+
+/**
+ * Rebuilds the RT unit's response FIFO from its events (the same heap
+ * operations on the same ready keys give the same array order) and
+ * records each onWarpCycles span with the wait level it carried.
+ */
+struct FifoMirror : rtunit::RtObserver
+{
+    struct Entry
+    {
+        std::uint64_t ready = 0;
+        int slot = 0;
+        prof::MemLevel level{};
+        std::uint32_t consumers = 0;
+    };
+    struct Span
+    {
+        int slot = 0;
+        std::uint64_t from = 0, weight = 0;
+        int outstanding = 0;
+        prof::MemLevel level{};
+    };
+
+    static bool
+    later(const Entry &a, const Entry &b)
+    {
+        return a.ready > b.ready;
+    }
+
+    bool wantsWarpCycles() const override { return true; }
+
+    void
+    onSubmit(int slot, std::uint32_t, std::uint32_t,
+             std::uint64_t now) override
+    {
+        cursor[std::size_t(slot)] = now;
+    }
+    void
+    onFetch(const FetchEvent &f, std::uint64_t) override
+    {
+        heap.push_back({next_ready, f.slot, f.level, f.consumers});
+        std::push_heap(heap.begin(), heap.end(), later);
+        pushed |= 1ull << f.slot;
+    }
+    void
+    onConsume(int slot, int lane, int, std::uint32_t, prof::MemLevel,
+              std::uint64_t) override
+    {
+        if (unconsumed == 0) { // the first lane of the next pop
+            std::pop_heap(heap.begin(), heap.end(), later);
+            EXPECT_EQ(heap.back().slot, slot);
+            unconsumed = heap.back().consumers;
+            heap.pop_back();
+            popped |= 1ull << slot;
+        }
+        unconsumed &= ~(1u << lane);
+    }
+    void
+    onWarpCycles(int slot, const prof::WarpView &v, prof::Phase,
+                 std::uint64_t weight,
+                 const rtunit::ThreadStatusCounts &) override
+    {
+        spans.push_back({slot, cursor[std::size_t(slot)], weight,
+                         v.outstanding, v.wait_level});
+        cursor[std::size_t(slot)] += weight;
+    }
+
+    /** Each slot's wait level: its first earliest-ready response in
+     *  array order (-1: nothing in flight). */
+    std::array<int, 64>
+    levels() const
+    {
+        std::array<int, 64> level;
+        std::array<std::uint64_t, 64> best;
+        level.fill(-1);
+        best.fill(rtunit::kNever);
+        for (const Entry &e : heap)
+            if (e.ready < best[std::size_t(e.slot)]) {
+                best[std::size_t(e.slot)] = e.ready;
+                level[std::size_t(e.slot)] = int(e.level);
+            }
+        return level;
+    }
+
+    std::uint64_t next_ready = 0; ///< the fetch being issued
+    std::vector<Entry> heap;
+    std::uint32_t unconsumed = 0;
+    std::uint64_t pushed = 0, popped = 0; ///< slots, this tick
+    std::array<std::uint64_t, 64> cursor{};
+    std::vector<Span> spans;
+};
+
+TEST(RtObserver, TiedWaitLevelFollowsHeapArrayOrder)
+{
+    // Serving latency grows with the level, so two fetches of one
+    // slot issued 40 or 80 cycles apart can become ready in the same
+    // cycle at different levels. The wait level of such a slot is
+    // the first of them in the FIFO's array order, which a pop for
+    // another slot can change while this slot sees no event.
+    const scene::Mesh mesh = testutil::makeSoup(8, 2000);
+    const bvh::FlatBvh flat(bvh::buildWideBvh(mesh));
+    TraceConfig cfg;
+    cfg.coop = true;
+    FifoMirror mirror;
+    std::uint64_t fetch_no = 0;
+    prof::MemLevel level = prof::MemLevel::L1;
+    rtunit::RtUnit unit(
+        flat, mesh, cfg,
+        [&](std::uint64_t, std::uint32_t, std::uint64_t now) {
+            level = prof::MemLevel(geom::mix64(fetch_no++) % 3);
+            const std::uint64_t ready = now + 20 + 40 * std::uint64_t(level);
+            mirror.next_ready = ready + cfg.math_latency;
+            return ready;
+        });
+    unit.attachObservers({&mirror}, [&level] { return level; });
+    int live = 0;
+    for (int w = 0; w < cfg.warp_buffer_entries; ++w, ++live)
+        unit.submit(testutil::frontalJob(rtunit::kWarpSize,
+                                         std::uint64_t(9 + w)),
+                    0, [&live](int, const rtunit::TraceResult &) {
+                        --live;
+                    });
+
+    // Each tick's cycle and every slot's heap-order level after it.
+    std::vector<std::uint64_t> ticks;
+    std::vector<std::array<int, 64>> answers;
+    int flips = 0;
+    for (std::uint64_t now = 0; live > 0; ++now) {
+        now = unit.nextEventCycle(now);
+        ASSERT_NE(now, rtunit::kNever);
+        mirror.pushed = mirror.popped = 0;
+        unit.tick(now);
+        const std::array<int, 64> a = mirror.levels();
+        for (std::size_t s = 0; !answers.empty() && s < 64; ++s) {
+            const int before = answers.back()[s];
+            const std::uint64_t self = 1ull << s;
+            flips += before >= 0 && a[s] >= 0 && a[s] != before &&
+                     ((mirror.pushed | mirror.popped) & self) == 0 &&
+                     (mirror.popped & ~self) != 0;
+        }
+        ticks.push_back(now);
+        answers.push_back(a);
+    }
+    EXPECT_GT(flips, 0) << "no pop reordered a tied slot's responses";
+
+    // Every attributed cycle with a response in flight carries the
+    // heap-order level of the tick it belongs to.
+    std::uint64_t checked = 0;
+    for (const FifoMirror::Span &sp : mirror.spans) {
+        if (sp.outstanding == 0)
+            continue;
+        for (std::uint64_t c = sp.from; c < sp.from + sp.weight; ++c) {
+            const auto it = std::upper_bound(ticks.begin(), ticks.end(), c);
+            ASSERT_NE(it, ticks.begin());
+            const std::size_t t = std::size_t(it - ticks.begin()) - 1;
+            ASSERT_EQ(int(sp.level), answers[t][std::size_t(sp.slot)])
+                << "slot " << sp.slot << " cycle " << c;
+            ++checked;
+        }
+    }
+    EXPECT_GT(checked, 0u);
 }
 
 } // namespace

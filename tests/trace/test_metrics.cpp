@@ -174,4 +174,27 @@ TEST(MetricsSampler, RowsSurviveRegistryMutation)
     EXPECT_NE(ss.str().find("p"), std::string::npos);
 }
 
+TEST(MetricsSampler, ColumnsFollowRegistrationChanges)
+{
+    // Columns bind to their probes once; a dropped probe reads 0 and
+    // a re-registered or overwritten one is read from then on.
+    Registry reg;
+    int owner = 0;
+    reg.probe("a", [] { return 1.0; });
+    reg.probe("b", [] { return 2.0; }, &owner);
+    MetricsSampler m(&reg);
+    m.sample(0);
+    reg.unregisterOwner(&owner);
+    m.sample(1);
+    reg.probe("b", [] { return 4.0; }, &owner);
+    reg.probe("a", [] { return 3.0; });
+    m.sample(2);
+    ASSERT_EQ(m.sampleCount(), 3u);
+    EXPECT_DOUBLE_EQ(m.at(0, 1), 2.0);
+    EXPECT_DOUBLE_EQ(m.at(1, 0), 1.0);
+    EXPECT_DOUBLE_EQ(m.at(1, 1), 0.0);
+    EXPECT_DOUBLE_EQ(m.at(2, 0), 3.0);
+    EXPECT_DOUBLE_EQ(m.at(2, 1), 4.0);
+}
+
 } // namespace

@@ -4,6 +4,9 @@
  * unregistration and snapshots.
  */
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "trace/registry.hpp"
@@ -112,6 +115,32 @@ TEST(Registry, SnapshotHonorsFilter)
     ASSERT_EQ(snap.size(), 1u);
     EXPECT_EQ(snap[0].name, "rtunit.sm0.steals");
     EXPECT_DOUBLE_EQ(snap[0].value, 5.0);
+}
+
+TEST(Registry, NamesAndFindFollowRegistrations)
+{
+    // The sampler's view: sorted filtered names, a probe per name,
+    // and a generation that moves whenever registrations change.
+    Registry reg;
+    int owner = 0;
+    const std::uint64_t g0 = reg.generation();
+    reg.probe("rtunit.sm0.steals", [] { return 5.0; }, &owner);
+    reg.probe("mem.l2.misses", [] { return 6.0; });
+    reg.probe("rtunit.sm0.issue_cycles", [] { return 7.0; });
+    EXPECT_EQ(reg.names("rtunit.*"),
+              (std::vector<std::string>{"rtunit.sm0.issue_cycles",
+                                        "rtunit.sm0.steals"}));
+    ASSERT_NE(reg.find("mem.l2.misses"), nullptr);
+    EXPECT_DOUBLE_EQ((*reg.find("mem.l2.misses"))(), 6.0);
+    EXPECT_EQ(reg.find("mem.l2.hits"), nullptr);
+
+    const std::uint64_t g1 = reg.generation();
+    EXPECT_GT(g1, g0);
+    reg.unregisterOwner(&g0); // owns nothing
+    EXPECT_EQ(reg.generation(), g1);
+    reg.unregisterOwner(&owner);
+    EXPECT_GT(reg.generation(), g1);
+    EXPECT_EQ(reg.find("rtunit.sm0.steals"), nullptr);
 }
 
 } // namespace
