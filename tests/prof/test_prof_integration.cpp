@@ -128,6 +128,17 @@ TEST(ProfIntegration, PhaseMatrixSumsToResidentCycles)
     EXPECT_GT(drain, 0u);
 }
 
+/** The contents of golden file @p name (empty when it is missing). */
+std::string
+golden(const std::string &name)
+{
+    std::ifstream gf(std::string(COOPRT_PROF_GOLDEN_DIR) + "/" + name);
+    EXPECT_TRUE(gf) << "missing golden file " << name;
+    std::stringstream want;
+    want << gf.rdbuf();
+    return want.str();
+}
+
 TEST(ProfIntegration, FoldedExportMatchesGoldenFile)
 {
     // Golden-file pin of the flamegraph export: deterministic
@@ -139,14 +150,7 @@ TEST(ProfIntegration, FoldedExportMatchesGoldenFile)
     const auto out = runProfiled(profiler, "wknd", 32, false);
     std::ostringstream got;
     profiler.writeFolded(got, out.scene);
-
-    const std::string path = std::string(COOPRT_PROF_GOLDEN_DIR) +
-                             "/wknd32_pt_baseline.folded";
-    std::ifstream gf(path);
-    ASSERT_TRUE(gf) << "missing golden file " << path;
-    std::stringstream want;
-    want << gf.rdbuf();
-    EXPECT_EQ(got.str(), want.str());
+    EXPECT_EQ(got.str(), golden("wknd32_pt_baseline.folded"));
 }
 
 TEST(ProfIntegration, CoopFoldedExportMatchesGolden)
@@ -161,26 +165,8 @@ TEST(ProfIntegration, CoopFoldedExportMatchesGolden)
     const auto out = runProfiled(profiler, "wknd", 32, true);
     std::ostringstream got;
     profiler.writeFolded(got, out.scene);
-
-    const std::string path = std::string(COOPRT_PROF_GOLDEN_DIR) +
-                             "/wknd32_pt_coop.folded";
-    std::ifstream gf(path);
-    ASSERT_TRUE(gf) << "missing golden file " << path;
-    std::stringstream want;
-    want << gf.rdbuf();
-    EXPECT_EQ(got.str(), want.str());
+    EXPECT_EQ(got.str(), golden("wknd32_pt_coop.folded"));
     EXPECT_NE(got.str().find(";rtunit;stack_bound "), std::string::npos);
-}
-
-/** The contents of golden file @p name (empty when it is missing). */
-std::string
-golden(const std::string &name)
-{
-    std::ifstream gf(std::string(COOPRT_PROF_GOLDEN_DIR) + "/" + name);
-    EXPECT_TRUE(gf) << "missing golden file " << name;
-    std::stringstream want;
-    want << gf.rdbuf();
-    return want.str();
 }
 
 TEST(ProfIntegration, ShipCoopProfileMatchesGolden)
