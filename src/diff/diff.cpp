@@ -15,6 +15,8 @@
 
 namespace cooprt::diff {
 
+using trace::JsonValue;
+
 namespace {
 
 /** The one bucket outside the resident-cycle conservation sum. */

@@ -49,8 +49,8 @@
 #include <string>
 #include <vector>
 
-#include "diff/json_value.hpp"
 #include "trace/json.hpp"
+#include "trace/json_value.hpp"
 
 namespace cooprt::core {
 struct RunOutcome;
@@ -135,8 +135,8 @@ RunRecord recordFromOutcome(const core::RunOutcome &outcome);
  * under `"outcome"`). Returns false and fills @p error when the
  * document carries no run key (pre-v2 reports cannot be aligned).
  */
-bool recordFromReportJson(const JsonValue &doc, RunRecord *record,
-                          std::string *error);
+bool recordFromReportJson(const trace::JsonValue &doc,
+                          RunRecord *record, std::string *error);
 
 /** Read + parse + normalize one report file. */
 bool loadReportFile(const std::string &path, RunRecord *record,
@@ -248,10 +248,10 @@ RunDiff diffRuns(const RunRecord &base, const RunRecord &other);
 /* ------------------------------------------------------------------ */
 
 /**
- * The diff as one schema-stamped JSON document (validated by
- * tools/validate_sinks.py). Deterministic; one line,
- * newline-terminated — suitable both as a file and as a JSON-lines
- * sink entry.
+ * The diff as one schema-stamped JSON document (shape checked by
+ * Diff.JsonSinkIsStampedAndEveryDeltaConserves). Deterministic; one
+ * line, newline-terminated — suitable both as a file and as a
+ * JSON-lines sink entry.
  */
 void writeJson(std::ostream &os, const RunDiff &d);
 

@@ -29,7 +29,7 @@
  *
  * Export views:
  *   - a `memscope` object in the run report and `Collector::writeJson`
- *     (schema checked by tools/validate_sinks.py);
+ *     (pinned by the MemscopeIntegration.JsonMatchesGolden golden);
  *   - folded stacks `scene;depth<d>;node<id> N` (writeFolded) for
  *     flamegraph.pl / speedscope — the tree-shaped twin of the prof
  *     stall flamegraph;
@@ -358,7 +358,7 @@ class Collector
      */
     void registerMetrics(cooprt::trace::Registry &registry);
 
-    /** Hierarchical JSON (schema: tools/validate_sinks.py). */
+    /** Hierarchical JSON (golden: tests/memscope/golden). */
     void writeJson(std::ostream &os, const std::string &scene) const;
 
     /**

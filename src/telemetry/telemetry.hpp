@@ -20,7 +20,8 @@
  * cycles, tags, counts) and a `"host"` object holding the timing /
  * memory / scheduling fields; byte-identity tests (`--jobs 1` vs
  * `--jobs N`) strip the `"host"` objects and compare the rest (see
- * DESIGN.md §16 and tools/validate_sinks.py --identical).
+ * DESIGN.md §16 and the gtest
+ * ExecCampaign.TelemetrySinksMatchAcrossWorkerCountsBesideHost).
  *
  * Usage (what `simulate_cli --telemetry` does):
  *

@@ -156,8 +156,8 @@ inline constexpr int kSchemaVersion = 2;
 /**
  * The canonical identity of one simulation run, stamped into every
  * JSON report/sink and the metrics CSV so cross-run tooling
- * (`cooprt::diff`, tools/validate_sinks.py) can align or refuse to
- * align two documents. Two runs are *comparable* when scene, shader
+ * (`cooprt::diff`) can align or refuse to align two documents, and
+ * the tests can check every sink's stamp (tests/sink_checks.hpp). Two runs are *comparable* when scene, shader
  * and resolution agree; their fingerprints then say whether the
  * configurations were identical or are the very thing being compared
  * (DESIGN.md section 18).

@@ -1,10 +1,10 @@
-#include "diff/json_value.hpp"
+#include "trace/json_value.hpp"
 
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
 
-namespace cooprt::diff {
+namespace cooprt::trace {
 
 /** Hand-rolled recursive-descent parser over a string_view. */
 class JsonParser
@@ -191,6 +191,10 @@ class JsonParser
                 v.string_ = std::move(out);
                 return v;
             }
+            if (static_cast<unsigned char>(c) < 0x20) {
+                fail("raw control character in string");
+                return {};
+            }
             if (c != '\\') {
                 out += c;
                 continue;
@@ -253,54 +257,66 @@ class JsonParser
         return {};
     }
 
+    /** One or more digits; false (nothing consumed) when none. */
+    bool
+    digits()
+    {
+        const std::size_t start = pos_;
+        while (!done() && peek() >= '0' && peek() <= '9')
+            ++pos_;
+        return pos_ > start;
+    }
+
     JsonValue
     parseNumber()
     {
         const std::size_t start = pos_;
-        if (consume('-')) {
+        consume('-');
+        // RFC 8259: "0" or a non-zero digit first, so no leading
+        // zeros; digits are required after '-', '.' and 'e'.
+        if (consume('0')) {
+            if (!done() && peek() >= '0' && peek() <= '9') {
+                fail("leading zero in number");
+                return {};
+            }
+        } else if (!digits()) {
+            fail("expected a digit");
+            return {};
         }
-        while (!done() && peek() >= '0' && peek() <= '9')
-            ++pos_;
         bool integral = true;
         if (consume('.')) {
             integral = false;
-            while (!done() && peek() >= '0' && peek() <= '9')
-                ++pos_;
+            if (!digits()) {
+                fail("expected a digit after '.'");
+                return {};
+            }
         }
         if (!done() && (peek() == 'e' || peek() == 'E')) {
             integral = false;
             ++pos_;
             if (!done() && (peek() == '+' || peek() == '-'))
                 ++pos_;
-            while (!done() && peek() >= '0' && peek() <= '9')
-                ++pos_;
+            if (!digits()) {
+                fail("expected a digit in exponent");
+                return {};
+            }
         }
         const std::string token(text_.substr(start, pos_ - start));
         JsonValue v;
         if (integral) {
             errno = 0;
-            char *end = nullptr;
             const long long parsed =
-                std::strtoll(token.c_str(), &end, 10);
-            if (errno == 0 && end != nullptr && *end == '\0') {
+                std::strtoll(token.c_str(), nullptr, 10);
+            if (errno == 0) {
                 v.kind_ = JsonValue::Kind::Int;
                 v.int_ = parsed;
-                v.double_ = double(parsed);
                 return v;
             }
             // Out of int64 range (e.g. a uint64 checksum emitted as
             // a bare number): degrade to double, like JS readers do.
         }
-        errno = 0;
-        char *end = nullptr;
-        const double parsed = std::strtod(token.c_str(), &end);
-        if (end == nullptr || *end != '\0') {
-            fail("malformed number '" + token + "'");
-            return {};
-        }
         v.kind_ = JsonValue::Kind::Double;
-        v.double_ = parsed;
-        v.int_ = std::int64_t(parsed);
+        v.double_ = std::strtod(token.c_str(), nullptr);
         return v;
     }
 };
@@ -353,4 +369,4 @@ JsonValue::getBool(std::string_view key, bool fallback) const
     return (v != nullptr && v->isBool()) ? v->boolValue() : fallback;
 }
 
-} // namespace cooprt::diff
+} // namespace cooprt::trace

@@ -1,12 +1,14 @@
 /**
  * @file
- * Minimal recursive-descent JSON reader for the diff engine. The
- * repository *emits* JSON through trace::JsonWriter; `cooprt::diff`
- * is the first subsystem that must *ingest* it back (run reports,
- * campaign JSON-lines, observer sinks), so this is the matching
- * dependency-free parser.
+ * The repository's one JSON reader: a minimal recursive-descent
+ * parser for the documents trace::JsonWriter emits. The diff engine
+ * ingests run reports and campaign JSON lines through it, and the
+ * tests read every JSON sink back through it.
  *
- * Design points that matter to diffing:
+ * Design points:
+ *   - Strict RFC 8259 grammar: no leading zeros, digits required
+ *     after '-', '.' and an exponent, no raw control characters in
+ *     strings, nothing after the document but whitespace.
  *   - Integers and doubles are distinct kinds. Cycle counts round-
  *     trip through std::int64_t exactly, which is what makes the
  *     bucket-delta conservation check *bit*-exact instead of
@@ -18,8 +20,8 @@
  *     error string with an offset-tagged message.
  */
 
-#ifndef COOPRT_DIFF_JSON_VALUE_HPP
-#define COOPRT_DIFF_JSON_VALUE_HPP
+#ifndef COOPRT_TRACE_JSON_VALUE_HPP
+#define COOPRT_TRACE_JSON_VALUE_HPP
 
 #include <cstdint>
 #include <memory>
@@ -28,7 +30,7 @@
 #include <utility>
 #include <vector>
 
-namespace cooprt::diff {
+namespace cooprt::trace {
 
 class JsonValue
 {
@@ -110,6 +112,6 @@ class JsonValue
     friend class JsonParser;
 };
 
-} // namespace cooprt::diff
+} // namespace cooprt::trace
 
-#endif // COOPRT_DIFF_JSON_VALUE_HPP
+#endif // COOPRT_TRACE_JSON_VALUE_HPP

@@ -7,9 +7,13 @@
  * the memscope folded + JSON output and the raystats JSON; the
  * shared run also carries a tracing + metrics session, whose trace
  * holds the ray recorder's tracks, and telemetry. All of them are
- * built and written by one core::ObserverSet.
+ * built and written by one core::ObserverSet. The shared run's
+ * stamped JSON sinks, telemetry sink, trace and memscope metrics
+ * columns are also checked for shape, each check beside a seeded
+ * corruption it must reject.
  */
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,13 +21,16 @@
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
+#include "../sink_checks.hpp"
 #include "core/observers.hpp"
 
 namespace {
 
 using namespace cooprt;
+using namespace cooprt::testutil;
 
 std::string
 slurp(const std::string &path)
@@ -32,6 +39,43 @@ slurp(const std::string &path)
     std::ostringstream os;
     os << is.rdbuf();
     return os.str();
+}
+
+/** Memscope's columns in a metrics CSV with memscope attached:
+ *  present in the header, and non-zero in some row. */
+void
+expectMemscopeColumns(const std::string &csv)
+{
+    std::vector<std::vector<std::string>> rows;
+    std::istringstream in(csv);
+    for (std::string line; std::getline(in, line);) {
+        if (line.starts_with('#'))
+            continue;
+        std::istringstream cells(line);
+        rows.emplace_back();
+        for (std::string cell; std::getline(cells, cell, ',');)
+            rows.back().push_back(cell);
+    }
+    if (rows.empty()) {
+        ADD_FAILURE() << "no header row";
+        return;
+    }
+    const std::vector<std::string> &header = rows.front();
+    for (const char *column :
+         {"memscope.gpu.node_accesses", "memscope.mem.line_l1"}) {
+        const auto it = std::find(header.begin(), header.end(), column);
+        if (it == header.end()) {
+            ADD_FAILURE() << "no " << column << " column";
+            continue;
+        }
+        const std::size_t i = std::size_t(it - header.begin());
+        EXPECT_TRUE(std::any_of(rows.begin() + 1, rows.end(),
+                                [i](const auto &row) {
+                                    return i < row.size() &&
+                                           row[i] != "0";
+                                }))
+            << column << " is zero in every row";
+    }
 }
 
 class ObserverComposition : public ::testing::TestWithParam<bool>
@@ -112,6 +156,31 @@ TEST_P(ObserverComposition, SinksMatchAloneAndTogether)
     const auto report = telemetry.find("\"report\":{");
     ASSERT_NE(report, std::string::npos);
     EXPECT_NE(telemetry.find("\"count\":1}", report), std::string::npos);
+
+    // The stamped sinks, the telemetry sink's host laws, the trace's
+    // events and memscope's metrics columns; each check here rejects
+    // a seeded corruption (the trace's in TraceIntegration).
+    expectStamp(parseJson(slurp(all.memscope_json)));
+    expectStamp(parseJson(slurp(all.raystats)));
+    expectTelemetrySink(parseJson(telemetry));
+    const JsonValue no_report = parseJson(
+        corrupted(telemetry, "\"count\":1}}", "\"count\":0}}"));
+    EXPECT_NONFATAL_FAILURE(expectTelemetrySink(no_report),
+                            "report never ran");
+    const JsonValue low_peak = parseJson(
+        corrupted(telemetry, "\"rss_peak_kb\":", "\"rss_peak_kb\":-"));
+    EXPECT_NONFATAL_FAILURE(expectTelemetrySink(low_peak),
+                            "rss_current_kb above rss_peak_kb");
+    const JsonValue v1 = parseJson(corrupted(
+        telemetry, "\"schema_version\":2", "\"schema_version\":1"));
+    EXPECT_NONFATAL_FAILURE(expectStamp(v1), "schema_version");
+    expectChromeTrace(parseJson(slurp(all.trace)));
+    const std::string metrics = slurp(all.metrics);
+    expectMemscopeColumns(metrics);
+    EXPECT_NONFATAL_FAILURE(
+        expectMemscopeColumns(corrupted(metrics, "memscope.mem.line_l1",
+                                        "memscope.mem.l1_lines")),
+        "no memscope.mem.line_l1 column");
 }
 
 INSTANTIATE_TEST_SUITE_P(BaseAndCoop, ObserverComposition,

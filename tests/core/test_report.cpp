@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "../trace/json_check.hpp"
 #include "core/report.hpp"
+#include "trace/json_value.hpp"
 
 namespace {
 
@@ -79,7 +79,7 @@ TEST(Report, EndsWithNewline)
 TEST(Report, IsValidJson)
 {
     EXPECT_TRUE(
-        testutil::isValidJson(core::toJson(sampleOutcome())));
+        trace::JsonValue::parse(core::toJson(sampleOutcome())).valid());
 }
 
 TEST(Report, EscapesSceneNameWithQuotes)
@@ -89,7 +89,7 @@ TEST(Report, EscapesSceneNameWithQuotes)
     core::RunOutcome out;
     out.scene = "cornell \"box\"";
     const std::string j = core::toJson(out);
-    EXPECT_TRUE(testutil::isValidJson(j));
+    EXPECT_TRUE(trace::JsonValue::parse(j).valid());
     EXPECT_NE(j.find("cornell \\\"box\\\""), std::string::npos);
 }
 
@@ -98,7 +98,7 @@ TEST(Report, EscapesBackslashesAndControlCharacters)
     core::RunOutcome out;
     out.scene = "a\\b\nnewline\ttab";
     const std::string j = core::toJson(out);
-    EXPECT_TRUE(testutil::isValidJson(j));
+    EXPECT_TRUE(trace::JsonValue::parse(j).valid());
     EXPECT_NE(j.find("a\\\\b\\nnewline\\ttab"), std::string::npos);
 }
 

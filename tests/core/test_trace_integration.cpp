@@ -9,11 +9,13 @@
 #include <fstream>
 #include <sstream>
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
-#include "../trace/json_check.hpp"
+#include "../sink_checks.hpp"
 #include "core/report.hpp"
 #include "core/simulation.hpp"
+#include "trace/json_value.hpp"
 #include "trace/session.hpp"
 
 namespace {
@@ -75,7 +77,7 @@ TEST(TraceIntegration, SummaryReportsCollection)
     EXPECT_GT(ts.registered_metrics, 0u);
     // The report embeds the summary when a session was attached.
     const std::string j = core::toJson(out);
-    EXPECT_TRUE(testutil::isValidJson(j));
+    EXPECT_TRUE(trace::JsonValue::parse(j).valid());
     EXPECT_NE(j.find("\"trace\":{"), std::string::npos);
     EXPECT_NE(j.find("\"events_recorded\":"), std::string::npos);
 }
@@ -91,8 +93,11 @@ TEST(TraceIntegration, ChromeTraceExportIsValidAndPopulated)
     std::ostringstream ss;
     session.writeTrace(ss);
     const std::string json = ss.str();
-    EXPECT_TRUE(testutil::isValidJson(json));
-    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+    testutil::expectChromeTrace(testutil::parseJson(json));
+    const trace::JsonValue no_ph = testutil::parseJson(
+        testutil::corrupted(json, "\"ph\":\"X\"", "\"ph\":7"));
+    EXPECT_NONFATAL_FAILURE(testutil::expectChromeTrace(no_ph),
+                            "string ph");
     // Per-warp RT duration events and SM track metadata.
     EXPECT_NE(json.find("\"name\":\"trace_ray\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
@@ -211,7 +216,7 @@ TEST(TraceIntegration, FilterRestrictsExportedData)
     std::ostringstream tf;
     session.writeTrace(tf);
     const std::string json = tf.str();
-    EXPECT_TRUE(testutil::isValidJson(json));
+    EXPECT_TRUE(trace::JsonValue::parse(json).valid());
     EXPECT_NE(json.find("\"cat\":\"rtunit\""), std::string::npos);
     EXPECT_EQ(json.find("\"cat\":\"sm\""), std::string::npos);
 }

@@ -8,6 +8,7 @@
  * --jobs 4.
  */
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "../byte_mutator.hpp"
+#include "../sink_checks.hpp"
 #include "core/report.hpp"
 #include "core/simulation.hpp"
 #include "diff/diff.hpp"
@@ -28,6 +30,7 @@
 namespace {
 
 using namespace cooprt;
+using testutil::at;
 
 /** The pinned pair: wknd at 32x32, path tracing, base vs CoopRT,
  *  with the profiler and memscope attached to both runs. */
@@ -61,6 +64,44 @@ diffJson(const diff::RunDiff &d)
     std::ostringstream ss;
     diff::writeJson(ss, d);
     return ss.str();
+}
+
+/** Every {base, other, delta} object in @p v, at any depth, holds
+ *  integers with delta == other - base. */
+void
+expectDeltas(const trace::JsonValue &v)
+{
+    if (v.find("delta") != nullptr) {
+        const trace::JsonValue &base = at(v, "base"),
+                               &other = at(v, "other"),
+                               &delta = at(v, "delta");
+        EXPECT_TRUE(base.isInt() && other.isInt() && delta.isInt() &&
+                    delta.intValue() == other.intValue() - base.intValue())
+            << "delta " << delta.intValue() << " != other "
+            << other.intValue() << " - base " << base.intValue();
+    }
+    for (const auto &member : v.members())
+        expectDeltas(member.second);
+    for (const auto &element : v.array())
+        expectDeltas(element);
+}
+
+/** One diff sink document (diff::writeJson): both run keys stamped,
+ *  the build object, the headline fields, and every delta triple. */
+void
+expectDiffSink(const trace::JsonValue &doc)
+{
+    testutil::expectStamp(doc, {"run_key", "other_key"});
+    testutil::expectBuild(at(doc, "build"));
+    EXPECT_TRUE(at(doc, "speedup").isNumber()) << "speedup";
+    EXPECT_TRUE(at(doc, "attribution").isString()) << "attribution";
+    const trace::JsonValue &bandwidth = at(doc, "bandwidth");
+    for (const trace::JsonValue *triple :
+         {&at(doc, "cycles"), &at(bandwidth, "l2_bytes"),
+          &at(bandwidth, "dram_bytes")})
+        EXPECT_NE(triple->find("delta"), nullptr)
+            << "cycles or bandwidth triple missing";
+    expectDeltas(doc);
 }
 
 TEST(Fingerprint, StableAndSensitiveToConfigOnly)
@@ -159,8 +200,8 @@ TEST(Diff, ReportRoundTripKeepsDoublesExact)
     const core::Comparison cmp = wkndPair();
     for (const core::RunOutcome *out : {&cmp.base, &cmp.coop}) {
         std::string err;
-        const diff::JsonValue doc =
-            diff::JsonValue::parse(core::toJson(*out), &err);
+        const trace::JsonValue doc =
+            trace::JsonValue::parse(core::toJson(*out), &err);
         ASSERT_TRUE(doc.valid()) << err;
         diff::RunRecord rec;
         ASSERT_TRUE(diff::recordFromReportJson(doc, &rec, &err)) << err;
@@ -231,7 +272,7 @@ TEST(Diff, SeededByteMutantsOfAReportParseOrFailCleanly)
         std::string err;
         diff::RunRecord rec;
         try {
-            const diff::JsonValue doc = diff::JsonValue::parse(m, &err);
+            const trace::JsonValue doc = trace::JsonValue::parse(m, &err);
             if (doc.valid() && diff::recordFromReportJson(doc, &rec, &err)) {
                 ++loaded;
                 continue;
@@ -259,6 +300,30 @@ TEST(Diff, JsonEmissionIsDeterministic)
         diff::diffRuns(diff::recordFromOutcome(again.base),
                        diff::recordFromOutcome(again.coop));
     EXPECT_EQ(diffJson(d), diffJson(d2));
+}
+
+TEST(Diff, JsonSinkIsStampedAndEveryDeltaConserves)
+{
+    const core::Comparison cmp = wkndPair();
+    const std::string json =
+        diffJson(diff::diffRuns(diff::recordFromOutcome(cmp.base),
+                                diff::recordFromOutcome(cmp.coop)));
+    expectDiffSink(testutil::parseJson(json));
+    // Seeded corruptions: a triple that no longer conserves, an
+    // unstamped build, a malformed run key.
+    const trace::JsonValue bumped = testutil::parseJson(
+        testutil::corrupted(json, "\"other\":", "\"other\":1"));
+    EXPECT_NONFATAL_FAILURE(expectDiffSink(bumped), "!= other");
+    const trace::JsonValue no_revision =
+        testutil::parseJson(testutil::corrupted(
+            json, "\"revision\":\"", "\"revision\":0,\"was\":\""));
+    EXPECT_NONFATAL_FAILURE(expectDiffSink(no_revision),
+                            "build.revision");
+    const trace::JsonValue bad_key = testutil::parseJson(
+        testutil::corrupted(json, "\"fingerprint\":\"0x",
+                            "\"fingerprint\":\"0X"));
+    EXPECT_NONFATAL_FAILURE(expectDiffSink(bad_key),
+                            "run_key.fingerprint");
 }
 
 TEST(Diff, IdentityDiffIsAllZero)
@@ -294,7 +359,7 @@ TEST(Diff, KeyMismatchIsExplained)
 TEST(Differ, SchemaV1ReportIsRejected)
 {
     std::string err;
-    const diff::JsonValue doc = diff::JsonValue::parse(
+    const trace::JsonValue doc = trace::JsonValue::parse(
         R"({"scene":"wknd","resolution":32,"cycles":100})", &err);
     ASSERT_TRUE(doc.valid()) << err;
     diff::RunRecord rec;
@@ -435,6 +500,9 @@ TEST(Differ, CampaignDiffSinkIsJobsInvariant)
     const std::string parallel = campaignDiffSink(dir.string(), 4);
     EXPECT_FALSE(serial.empty());
     EXPECT_EQ(serial, parallel);
+    std::istringstream lines(serial);
+    for (std::string line; std::getline(lines, line);)
+        expectDiffSink(testutil::parseJson(line));
 
     fs::remove_all(dir);
 }

@@ -1,19 +1,25 @@
 /**
  * @file
  * Campaign-engine determinism: a parallel run must be bit-identical
- * to a serial run of the same jobs, on real simulations. The four
- * pinned seed baselines (tests/core/test_pinned_cycles.cpp) anchor
- * the comparison to absolute values, not just serial == parallel.
+ * to a serial run of the same jobs, on real simulations, and its
+ * telemetry sinks and event log identical outside their host
+ * objects. The four pinned seed baselines
+ * (tests/core/test_pinned_cycles.cpp) anchor the comparison to
+ * absolute values, not just serial == parallel.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
+#include "../sink_checks.hpp"
 #include "core/report.hpp"
 #include "exec/exec.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -28,6 +34,35 @@ pinnedJob(const std::string &scene, int resolution,
     cfg.shader = shader;
     cfg.gpu.trace.coop = coop;
     return exec::Job{scene, cfg, tag};
+}
+
+std::string
+slurp(const std::filesystem::path &p)
+{
+    std::ifstream is(p, std::ios::binary);
+    EXPECT_TRUE(is.good()) << p;
+    std::ostringstream ss;
+    ss << is.rdbuf();
+    return ss.str();
+}
+
+/**
+ * The lines of a telemetry sink or event log that must not depend on
+ * the worker count: each line cut at its trailing "host" object
+ * (the writer puts it last), the lines between the first and the
+ * last (an event log's job lines, which workers finish in any order)
+ * sorted.
+ */
+std::vector<std::string>
+hostStripped(const std::string &text)
+{
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line.substr(0, line.rfind(",\"host\":")));
+    if (lines.size() > 2)
+        std::sort(lines.begin() + 1, lines.end() - 1);
+    return lines;
 }
 
 std::vector<exec::Job>
@@ -175,13 +210,6 @@ TEST(ExecCampaign, RayStatsSinksByteIdenticalAcrossWorkerCounts)
     const fs::path serial = runWithJobs(1);
     const fs::path parallel = runWithJobs(4);
 
-    auto slurp = [](const fs::path &p) {
-        std::ifstream is(p, std::ios::binary);
-        EXPECT_TRUE(is.good()) << p;
-        std::ostringstream ss;
-        ss << is.rdbuf();
-        return ss.str();
-    };
     // Per-ray sampling is seed-derived, never scheduler-derived, so
     // every per-job raystats file must be byte-identical regardless
     // of how many workers ran the campaign.
@@ -222,13 +250,6 @@ TEST(ExecCampaign, MemscopeSinksByteIdenticalAcrossWorkerCounts)
     const fs::path serial = runWithJobs(1);
     const fs::path parallel = runWithJobs(4);
 
-    auto slurp = [](const fs::path &p) {
-        std::ifstream is(p, std::ios::binary);
-        EXPECT_TRUE(is.good()) << p;
-        std::ostringstream ss;
-        ss << is.rdbuf();
-        return ss.str();
-    };
     // Memscope counters depend only on the simulated run, never on
     // host scheduling, so both the JSON profile and the folded node
     // heatmap must be byte-identical regardless of worker count.
@@ -249,6 +270,58 @@ TEST(ExecCampaign, MemscopeSinksByteIdenticalAcrossWorkerCounts)
     }
     EXPECT_EQ(json_files, 4u) << "one memscope JSON per job";
     EXPECT_EQ(folded_files, 4u) << "one folded heatmap per job";
+    fs::remove_all(root);
+}
+
+TEST(ExecCampaign, TelemetrySinksMatchAcrossWorkerCountsBesideHost)
+{
+    namespace fs = std::filesystem;
+    const fs::path root =
+        fs::temp_directory_path() / "cooprt_telemetry_test";
+    fs::remove_all(root);
+
+    // Each per-job telemetry sink by file name, plus the event log.
+    auto runWithJobs = [&](int jobs) {
+        const fs::path dir = root / ("jobs" + std::to_string(jobs));
+        fs::create_directories(dir);
+        std::ostringstream events;
+        telemetry::EventLog log(&events);
+        exec::CampaignOptions opt;
+        opt.jobs = jobs;
+        opt.telemetry_dir = dir.string();
+        opt.event_log = &log;
+        for (const auto &r : exec::runCampaign(pinnedJobs(), opt))
+            EXPECT_TRUE(r.ok) << r.tag;
+        std::map<std::string, std::string> sinks{{"events", events.str()}};
+        for (const auto &entry : fs::directory_iterator(dir))
+            sinks[entry.path().filename().string()] = slurp(entry.path());
+        return sinks;
+    };
+    const auto serial = runWithJobs(1);
+    auto parallel = runWithJobs(4);
+    EXPECT_EQ(serial.size(), 5u) << "one telemetry sink per job";
+    // Host seconds, RSS and the worker count differ between the two
+    // campaigns; everything before each line's host object does not.
+    for (const auto &[name, text] : serial) {
+        SCOPED_TRACE(name);
+        std::istringstream in(text);
+        for (std::string line; std::getline(in, line);) {
+            if (name == "events")
+                testutil::expectEventLine(testutil::parseJson(line));
+            else
+                testutil::expectTelemetrySink(testutil::parseJson(line));
+        }
+        EXPECT_EQ(hostStripped(text), hostStripped(parallel[name]));
+    }
+    // The projection ignores a host-only change and keeps a
+    // deterministic one.
+    const std::string &events = serial.at("events");
+    EXPECT_EQ(hostStripped(testutil::corrupted(events, "\"t_s\":",
+                                               "\"t_s\":9")),
+              hostStripped(events));
+    EXPECT_NE(hostStripped(testutil::corrupted(events, "\"cycles\":",
+                                               "\"cycles\":1")),
+              hostStripped(events));
     fs::remove_all(root);
 }
 

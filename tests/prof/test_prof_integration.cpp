@@ -11,10 +11,10 @@
 
 #include <gtest/gtest.h>
 
-#include "../trace/json_check.hpp"
 #include "core/report.hpp"
 #include "core/simulation.hpp"
 #include "prof/prof.hpp"
+#include "trace/json_value.hpp"
 #include "trace/session.hpp"
 
 namespace {
@@ -249,12 +249,12 @@ TEST(ProfIntegration, ProfileJsonIsValidAndConserves)
     const auto out = runProfiled(profiler, "wknd", 16, true);
     std::ostringstream ss;
     profiler.writeJson(ss, out.scene);
-    EXPECT_TRUE(testutil::isValidJson(ss.str()));
+    EXPECT_TRUE(trace::JsonValue::parse(ss.str()).valid());
     EXPECT_NE(ss.str().find("\"subwarp_drain\":"), std::string::npos);
 
     // The run report embeds the summary as a "prof" object.
     const std::string report = core::toJson(out);
-    EXPECT_TRUE(testutil::isValidJson(report));
+    EXPECT_TRUE(trace::JsonValue::parse(report).valid());
     EXPECT_NE(report.find("\"prof\":{"), std::string::npos);
     EXPECT_NE(report.find("\"resident_cycles\":"), std::string::npos);
 }

@@ -6,18 +6,25 @@
  * the identical float expressions the RT-unit leaf test folds, so
  * any traversal bug — a culled subtree that should have been
  * visited, a stale pop eliminating a live entry — surfaces as a
- * mismatch here rather than as a silently wrong neighbor.
+ * mismatch here rather than as a silently wrong neighbor. The
+ * report a query run writes names its workload, a hex checksum and
+ * the oracle's counters.
  */
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
 
+#include "../sink_checks.hpp"
 #include "core/simulation.hpp"
+#include "exec/exec.hpp"
 
 namespace {
 
 using namespace cooprt;
+using testutil::at;
 
 core::RunOutcome
 runQuery(const std::string &scene, core::ShaderKind shader,
@@ -188,6 +195,72 @@ TEST(QuerySemantics, VerifyOffSkipsOracle)
     EXPECT_FALSE(out.query.verified);
     EXPECT_FALSE(out.query.oracleMatches());
     EXPECT_EQ(out.query.oracle_checked, 0u);
+}
+
+/** One campaign JSON line of a query job (exec::writeJsonLine, what
+ *  campaign_cli --json-out writes): `ok`, and an outcome that is the
+ *  stamped run report with the workload named after @p shader, a
+ *  64-bit hex checksum and the oracle's counters. */
+void
+expectQueryLine(const trace::JsonValue &line, const std::string &shader)
+{
+    EXPECT_TRUE(at(line, "ok").isBool() && at(line, "ok").boolValue())
+        << "job not ok";
+    const trace::JsonValue &report = at(line, "outcome");
+    testutil::expectStamp(report);
+    const trace::JsonValue &q = at(report, "query");
+    EXPECT_EQ(at(q, "workload").stringValue(), shader);
+    const std::string &checksum = at(q, "checksum").stringValue();
+    EXPECT_TRUE(testutil::isHex64(checksum))
+        << "checksum '" << checksum << "'";
+    for (const char *key : {"queries", "rounds", "found"})
+        EXPECT_TRUE(testutil::isCounter(at(q, key))) << "query." << key;
+    const trace::JsonValue &oracle = at(q, "oracle");
+    EXPECT_TRUE(testutil::isCounter(at(oracle, "checked")) &&
+                testutil::isCounter(at(oracle, "mismatches")) &&
+                at(oracle, "matches").isBool())
+        << "query.oracle";
+}
+
+TEST(QueryReport, CampaignLinesCarryOkQueryReports)
+{
+    const std::pair<const char *, core::ShaderKind> workloads[] = {
+        {"ptsu", core::ShaderKind::QueryKnn},
+        {"ptsu", core::ShaderKind::QueryRadius},
+        {"amrs", core::ShaderKind::QueryContain}};
+    std::vector<exec::Job> jobs;
+    for (const auto &[scene, shader] : workloads) {
+        core::RunConfig cfg;
+        cfg.shader = shader;
+        cfg.resolution = 8;
+        jobs.push_back(exec::Job{scene, cfg, core::shaderToken(shader)});
+    }
+    exec::CampaignOptions opt;
+    opt.jobs = 2;
+    std::ostringstream os;
+    for (const auto &r : exec::runCampaign(std::move(jobs), opt))
+        exec::writeJsonLine(os, r);
+    std::istringstream in(os.str());
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), std::size(workloads));
+    for (std::size_t i = 0; i < lines.size(); ++i)
+        expectQueryLine(testutil::parseJson(lines[i]),
+                        core::shaderToken(workloads[i].second));
+
+    // Seeded corruptions of the knn line.
+    const auto rejects = [&](std::string_view from, std::string_view to,
+                             const char *failure) {
+        const trace::JsonValue bad =
+            testutil::parseJson(testutil::corrupted(lines[0], from, to));
+        EXPECT_NONFATAL_FAILURE(expectQueryLine(bad, "knn"), failure);
+    };
+    rejects("\"ok\":true", "\"ok\":false", "job not ok");
+    rejects("\"workload\":\"knn\"", "\"workload\":\"radius\"",
+            "radius");
+    rejects("\"checksum\":\"0x", "\"checksum\":\"0xZ", "checksum '0xZ");
+    rejects("\"mismatches\":", "\"mismatch\":", "query.oracle");
 }
 
 } // namespace

@@ -10,10 +10,10 @@
 
 #include "raytrace/raytrace.hpp"
 #include "trace/chrome_trace.hpp"
+#include "trace/json_value.hpp"
 #include "trace/registry.hpp"
 
 #include "../rtunit/rtunit_test_util.hpp"
-#include "../trace/json_check.hpp"
 
 namespace {
 
@@ -54,7 +54,7 @@ TEST(RayStatsExport, JsonIsValidAndCarriesTheSchema)
     std::ostringstream ss;
     ray.writeRayStatsJson(ss, "soup");
     const std::string json = ss.str();
-    EXPECT_TRUE(testutil::isValidJson(json)) << json.substr(0, 400);
+    EXPECT_TRUE(trace::JsonValue::parse(json).valid()) << json.substr(0, 400);
     for (const char *key :
          {"\"scene\"", "\"sample_k\"", "\"rays_sampled\"",
           "\"warps\"", "\"node_visits\"", "\"stack_hwm\"",
@@ -92,7 +92,7 @@ TEST(RayStatsExport, PerfettoTracksPerWarpAndRay)
     std::ostringstream ss;
     tracer.writeJson(ss);
     const std::string json = ss.str();
-    EXPECT_TRUE(testutil::isValidJson(json));
+    EXPECT_TRUE(trace::JsonValue::parse(json).valid());
     // One named track group per sampled warp plus one per ray.
     EXPECT_NE(json.find("rays ord"), std::string::npos);
     EXPECT_NE(json.find("lane"), std::string::npos);
@@ -136,7 +136,7 @@ TEST(RayStatsExport, EventCapDropsAndCounts)
     EXPECT_GT(ray.stats().events_dropped, 0u);
     std::ostringstream ss;
     ray.writeRayStatsJson(ss, "soup");
-    EXPECT_TRUE(testutil::isValidJson(ss.str()));
+    EXPECT_TRUE(trace::JsonValue::parse(ss.str()).valid());
 }
 
 } // namespace

@@ -6,6 +6,8 @@
  * variant must return exactly the baseline/oracle closest hits.
  */
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "rtunit_test_util.hpp"
@@ -33,9 +35,8 @@ struct CoopCase
 };
 
 std::string
-caseName(const ::testing::TestParamInfo<CoopCase> &info)
+caseName(const CoopCase &c)
 {
-    const CoopCase &c = info.param;
     std::string s = "seed" + std::to_string(c.seed) + "_sw" +
                     std::to_string(c.subwarp) + "_rays" +
                     std::to_string(c.active_rays);
@@ -45,6 +46,11 @@ caseName(const ::testing::TestParamInfo<CoopCase> &info)
         s += "_conservative";
     return s;
 }
+
+// gtest prints the parameter into the ctest name; without this it
+// dumps the struct's raw bytes, padding included, which differ from
+// build to build.
+void PrintTo(const CoopCase &c, std::ostream *os) { *os << caseName(c); }
 
 class CoopCorrectness : public ::testing::TestWithParam<CoopCase>
 {};
@@ -114,7 +120,7 @@ INSTANTIATE_TEST_SUITE_P(
         CoopCase{115, 32, 1, false, TraversalOrder::Dfs, true},
         CoopCase{116, 8, 16, false, TraversalOrder::Dfs, true},
         CoopCase{117, 32, 32, true, TraversalOrder::Dfs, true}),
-    caseName);
+    [](const auto &info) { return caseName(info.param); });
 
 /**
  * Coop vs baseline on a generated scene with materials and realistic

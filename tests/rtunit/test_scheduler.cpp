@@ -5,6 +5,8 @@
  * the timing differs by policy.
  */
 
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,15 +24,25 @@ using testutil::frontalJob;
 using testutil::makeSoup;
 using testutil::RtHarness;
 
-class SchedPolicyTest
-    : public ::testing::TestWithParam<WarpSchedPolicy>
+/** A scheduler policy and the name its ctest case carries. */
+struct Policy
+{
+    WarpSchedPolicy sched;
+    const char *name;
+};
+
+// gtest prints the parameter into the ctest name; without this it
+// dumps the raw bytes of the value.
+void PrintTo(const Policy &p, std::ostream *os) { *os << p.name; }
+
+class SchedPolicyTest : public ::testing::TestWithParam<Policy>
 {};
 
 TEST_P(SchedPolicyTest, MultiWarpResultsMatchOracle)
 {
     scene::Mesh mesh = makeSoup(31, 1500);
     TraceConfig cfg;
-    cfg.sched = GetParam();
+    cfg.sched = GetParam().sched;
     cfg.coop = true;
     cfg.warp_buffer_entries = 4;
     RtHarness h(mesh, cfg);
@@ -66,17 +78,10 @@ TEST_P(SchedPolicyTest, MultiWarpResultsMatchOracle)
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, SchedPolicyTest,
-    ::testing::Values(WarpSchedPolicy::RoundRobin,
-                      WarpSchedPolicy::GreedyThenOldest,
-                      WarpSchedPolicy::OldestFirst),
-    [](const ::testing::TestParamInfo<WarpSchedPolicy> &info) {
-        switch (info.param) {
-          case WarpSchedPolicy::RoundRobin: return "RoundRobin";
-          case WarpSchedPolicy::GreedyThenOldest: return "Gto";
-          case WarpSchedPolicy::OldestFirst: return "Oldest";
-        }
-        return "Unknown";
-    });
+    ::testing::Values(Policy{WarpSchedPolicy::RoundRobin, "RoundRobin"},
+                      Policy{WarpSchedPolicy::GreedyThenOldest, "Gto"},
+                      Policy{WarpSchedPolicy::OldestFirst, "Oldest"}),
+    [](const auto &info) { return std::string(info.param.name); });
 
 TEST(SchedPolicy, OldestFirstDrainsOldWarpFirst)
 {

@@ -4,10 +4,11 @@
  * the run's sealed totals, the per-run JSON sink's
  * deterministic/host split, the campaign event log, the heartbeat
  * thread, and the event log driven by a real `exec::Campaign` with a fake
- * runner (conservation between job lines and campaign_end, retries
- * included).
+ * runner (each line's shape for its event kind, and conservation
+ * between job lines and campaign_end, retries included).
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <sstream>
@@ -15,8 +16,10 @@
 #include <thread>
 #include <vector>
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
+#include "../sink_checks.hpp"
 #include "exec/exec.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -24,6 +27,7 @@ namespace {
 
 using namespace cooprt;
 using namespace cooprt::telemetry;
+using namespace cooprt::testutil;
 
 TEST(ParseProcStatus, ReadsRssAndPeak)
 {
@@ -188,6 +192,7 @@ TEST(EventLog, LinesAreDeterministicFirstHostLast)
     int lines = 0;
     while (std::getline(in, line)) {
         ++lines;
+        expectEventLine(parseJson(line));
         EXPECT_EQ(line.rfind("{\"ev\":\"", 0), 0u) << line;
         // One trailing host object per line.
         const auto host = line.find("\"host\":{");
@@ -235,26 +240,6 @@ TEST(HeartbeatTest, BeatsAndStopsPromptly)
               std::string::npos);
 }
 
-/** The event kind of one event-log line ("" if absent). */
-std::string
-evOf(const std::string &line)
-{
-    const std::size_t at = line.find("\"ev\":\"");
-    return at == std::string::npos
-               ? ""
-               : line.substr(at + 6, line.find('"', at + 6) - at - 6);
-}
-
-/** The integer value of @p key in one event-log line (-1 if absent). */
-long long
-intOf(const std::string &line, const std::string &key)
-{
-    const std::size_t at = line.find('"' + key + "\":");
-    return at == std::string::npos
-               ? -1
-               : std::stoll(line.substr(at + key.size() + 3));
-}
-
 // Event-log conservation over a real campaign (fake runner, so no
 // scenes are built; one job passes on its retry, one fails both
 // attempts): the log opens with campaign_begin and closes with
@@ -288,46 +273,66 @@ TEST(CampaignIntegration, EventLogConservation)
         ASSERT_EQ(results.size(), std::size_t(kJobs));
         EXPECT_EQ(campaign.stats().running.load(), 0u);
 
-        std::vector<std::string> lines;
+        std::vector<std::string> text;
+        std::vector<JsonValue> lines;
         std::istringstream in(os.str());
-        for (std::string line; std::getline(in, line);)
-            lines.push_back(line);
+        for (std::string line; std::getline(in, line);) {
+            text.push_back(line);
+            lines.push_back(parseJson(line));
+            expectEventLine(lines.back());
+        }
         ASSERT_GE(lines.size(), 2u) << "workers=" << workers;
-        const std::string &begin = lines.front(), &end = lines.back();
-        EXPECT_EQ(evOf(begin), "campaign_begin");
-        EXPECT_EQ(intOf(begin, "jobs"), kJobs);
-        EXPECT_EQ(begin.find("\"revision\":\"\""), std::string::npos);
-        EXPECT_EQ(evOf(end), "campaign_end");
+        const JsonValue &begin = lines.front(), &end = lines.back();
+        EXPECT_EQ(at(begin, "ev").stringValue(), "campaign_begin");
+        EXPECT_EQ(at(begin, "jobs").intValue(), kJobs);
+        EXPECT_EQ(at(end, "ev").stringValue(), "campaign_end");
 
         std::vector<int> starts(kJobs), finishes(kJobs);
         long long ok = 0, retries = 0;
         for (std::size_t i = 1; i + 1 < lines.size(); ++i) {
-            const std::string ev = evOf(lines[i]);
-            const long long idx = intOf(lines[i], "index");
-            ASSERT_TRUE(idx >= 0 && idx < kJobs) << lines[i];
+            const std::string ev = at(lines[i], "ev").stringValue();
+            const long long idx = at(lines[i], "index").intValue();
+            ASSERT_TRUE(idx >= 0 && idx < kJobs) << text[i];
             if (ev == "job_start")
                 starts[std::size_t(idx)]++;
             else if (ev == "job_retry")
                 retries++;
             else if (ev == "job_finish") {
                 finishes[std::size_t(idx)]++;
-                ok += lines[i].find("\"ok\":true") != std::string::npos;
+                ok += at(lines[i], "ok").boolValue();
                 if (idx != 5) {
-                    EXPECT_NE(lines[i].find("\"cycles\":77,"),
-                              std::string::npos);
+                    EXPECT_EQ(at(lines[i], "cycles").intValue(), 77);
                 }
             } else
-                ADD_FAILURE() << "unexpected line " << lines[i];
+                ADD_FAILURE() << "unexpected line " << text[i];
         }
         for (int j = 0; j < kJobs; ++j) {
             EXPECT_EQ(finishes[std::size_t(j)], 1) << "job " << j;
             EXPECT_EQ(starts[std::size_t(j)], j == 3 || j == 5 ? 2 : 1)
                 << "job " << j;
         }
-        EXPECT_EQ(intOf(end, "done"), ok);
-        EXPECT_EQ(intOf(end, "done") + intOf(end, "failed"), kJobs);
-        EXPECT_EQ(intOf(end, "retried"), retries);
+        EXPECT_EQ(at(end, "done").intValue(), ok);
+        EXPECT_EQ(at(end, "done").intValue() + at(end, "failed").intValue(),
+                  kJobs);
+        EXPECT_EQ(at(end, "retried").intValue(), retries);
         EXPECT_EQ(retries, 2);
+
+        // The line-shape check rejects seeded corruptions.
+        const std::string &finish =
+            *std::find_if(text.begin(), text.end(), [](const auto &l) {
+                return l.starts_with("{\"ev\":\"job_finish\"");
+            });
+        const JsonValue int_ok =
+            parseJson(corrupted(finish, "\"ok\":", "\"ok\":0,\"was\":"));
+        EXPECT_NONFATAL_FAILURE(expectEventLine(int_ok), "job_finish.ok");
+        const JsonValue bogus =
+            parseJson(corrupted(finish, "job_finish", "job_bogus"));
+        EXPECT_NONFATAL_FAILURE(expectEventLine(bogus),
+                                "unknown event 'job_bogus'");
+        const JsonValue no_host =
+            parseJson(corrupted(finish, ",\"host\":", ",\"hist\":"));
+        EXPECT_NONFATAL_FAILURE(expectEventLine(no_host),
+                                "no trailing host object");
     }
 }
 

@@ -8,12 +8,12 @@
 
 #include <gtest/gtest.h>
 
-#include "json_check.hpp"
 #include "trace/chrome_trace.hpp"
+#include "trace/json_value.hpp"
 
 namespace {
 
-using cooprt::testutil::isValidJson;
+using cooprt::trace::JsonValue;
 using cooprt::trace::Tracer;
 
 std::string
@@ -28,7 +28,7 @@ TEST(Tracer, EmptyExportIsValidJson)
 {
     Tracer t(16);
     const std::string json = exportJson(t);
-    EXPECT_TRUE(isValidJson(json));
+    EXPECT_TRUE(JsonValue::parse(json).valid());
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
 }
 
@@ -43,7 +43,7 @@ TEST(Tracer, RecordsAllThreeKinds)
     EXPECT_EQ(t.dropped(), 0u);
 
     const std::string json = exportJson(t);
-    EXPECT_TRUE(isValidJson(json));
+    EXPECT_TRUE(JsonValue::parse(json).valid());
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
@@ -62,7 +62,7 @@ TEST(Tracer, RingOverwritesOldestAndCountsDropped)
 
     // Oldest-first export: surviving timestamps are 6..9.
     const std::string json = exportJson(t);
-    EXPECT_TRUE(isValidJson(json));
+    EXPECT_TRUE(JsonValue::parse(json).valid());
     EXPECT_EQ(json.find("\"ts\":5"), std::string::npos);
     const auto p6 = json.find("\"ts\":6");
     const auto p9 = json.find("\"ts\":9");
@@ -78,7 +78,7 @@ TEST(Tracer, ExportFilterMatchesCategoryOrQualifiedName)
     t.instant("sm", "warp", 0, 0, 2);
     t.setFilter("rtunit.*");
     std::string json = exportJson(t);
-    EXPECT_TRUE(isValidJson(json));
+    EXPECT_TRUE(JsonValue::parse(json).valid());
     EXPECT_NE(json.find("steal"), std::string::npos);
     EXPECT_EQ(json.find("\"name\":\"warp\""), std::string::npos);
 
@@ -99,7 +99,7 @@ TEST(Tracer, MetadataNamesAreExported)
     t.threadName(0, 5, "warp 5");
     t.instant("sm", "e", 0, 5, 1);
     const std::string json = exportJson(t);
-    EXPECT_TRUE(isValidJson(json));
+    EXPECT_TRUE(JsonValue::parse(json).valid());
     EXPECT_NE(json.find("\"process_name\""), std::string::npos);
     EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
     EXPECT_NE(json.find("SM 0"), std::string::npos);
@@ -115,7 +115,7 @@ TEST(Tracer, ClearDropsDataButKeepsCapacity)
     EXPECT_EQ(t.recorded(), 0u);
     EXPECT_EQ(t.dropped(), 0u);
     EXPECT_EQ(t.capacity(), 8u);
-    EXPECT_TRUE(isValidJson(exportJson(t)));
+    EXPECT_TRUE(JsonValue::parse(exportJson(t)).valid());
 }
 
 TEST(Tracer, TrackNamesSurviveRingWraparound)
@@ -138,7 +138,7 @@ TEST(Tracer, TrackNamesSurviveRingWraparound)
     EXPECT_GT(t.dropped(), 0u);
     // The launch event itself was evicted...
     const std::string json = exportJson(t);
-    EXPECT_TRUE(isValidJson(json));
+    EXPECT_TRUE(JsonValue::parse(json).valid());
     EXPECT_EQ(json.find("\"name\":\"launch\""), std::string::npos);
     // ...but both name records survived eviction.
     EXPECT_NE(json.find("SM 0"), std::string::npos);
@@ -167,7 +167,7 @@ TEST(Tracer, CounterValuesSurviveRoundTrip)
     Tracer t(8);
     t.counter("gpu", "util", 2, 500, 0.25);
     const std::string json = exportJson(t);
-    EXPECT_TRUE(isValidJson(json));
+    EXPECT_TRUE(JsonValue::parse(json).valid());
     EXPECT_NE(json.find("\"pid\":2"), std::string::npos);
     EXPECT_NE(json.find("0.25"), std::string::npos);
 }

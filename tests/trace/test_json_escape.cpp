@@ -1,18 +1,19 @@
 /**
  * @file
  * Tests for the shared JSON string escaping (the fix for the report
- * writer's unescaped-string bug) and for the test-side validator.
+ * writer's unescaped-string bug) and for the strictness of the JSON
+ * reader that every test reads sinks back with.
  */
 
 #include <gtest/gtest.h>
 
-#include "json_check.hpp"
 #include "trace/json.hpp"
+#include "trace/json_value.hpp"
 
 namespace {
 
-using cooprt::testutil::isValidJson;
 using cooprt::trace::escapeJson;
+using cooprt::trace::JsonValue;
 using cooprt::trace::quoteJson;
 
 TEST(JsonEscape, PassesPlainStringsThrough)
@@ -52,23 +53,26 @@ TEST(JsonEscape, QuoteJsonProducesValidJsonStrings)
 {
     const std::string nasty =
         "scene \"one\\two\"\n\twith\rcontrol\x02 chars";
-    EXPECT_TRUE(isValidJson(quoteJson(nasty)));
-    EXPECT_TRUE(isValidJson(quoteJson("")));
-    EXPECT_TRUE(isValidJson(quoteJson("plain")));
+    EXPECT_TRUE(JsonValue::parse(quoteJson(nasty)).valid());
+    EXPECT_TRUE(JsonValue::parse(quoteJson("")).valid());
+    EXPECT_TRUE(JsonValue::parse(quoteJson("plain")).valid());
 }
 
 TEST(JsonCheck, ValidatorAcceptsAndRejectsCorrectly)
 {
-    EXPECT_TRUE(isValidJson("{}"));
-    EXPECT_TRUE(isValidJson("[1,2.5,-3e4,\"x\",true,false,null]"));
-    EXPECT_TRUE(isValidJson("{\"a\":{\"b\":[{}]}}"));
-    EXPECT_TRUE(isValidJson("  {\"k\" : \"v\\n\"} "));
-    EXPECT_FALSE(isValidJson("{\"a\":}"));
-    EXPECT_FALSE(isValidJson("{\"a\":1,}"));
-    EXPECT_FALSE(isValidJson("\"unterminated"));
-    EXPECT_FALSE(isValidJson("\"raw\ncontrol\""));
-    EXPECT_FALSE(isValidJson("[1 2]"));
-    EXPECT_FALSE(isValidJson("{} extra"));
+    for (const char *good :
+         {"{}", "[1,2.5,-3e4,\"x\",true,false,null]",
+          "{\"a\":{\"b\":[{}]}}", "  {\"k\" : \"v\\n\"} ", "0", "-0",
+          "0.5", "-0.5e-3", "1E+2", "[0,10,-10]"})
+        EXPECT_TRUE(JsonValue::parse(good).valid()) << good;
+    // RFC 8259 rejects leading zeros, a '-' or '.' without digits
+    // after it, an exponent without digits and raw control
+    // characters inside strings.
+    for (const char *bad :
+         {"{\"a\":}", "{\"a\":1,}", "\"unterminated", "\"raw\ncontrol\"",
+          "\"raw\ttab\"", "[1 2]", "{} extra", "1.", "-.5", "[1.]", "-",
+          "01", "-01", "[00]", "1e", "1e+", ".5"})
+        EXPECT_FALSE(JsonValue::parse(bad).valid()) << bad;
 }
 
 } // namespace

@@ -1,19 +1,20 @@
 /**
  * @file
- * The diff engine's JSON reader: exact integer round-trip (the
- * property the bit-exact conservation checks stand on), member-order
- * preservation, escapes, and hard failures on malformed input.
+ * The repository's JSON reader: exact integer round-trip (the
+ * property the diff engine's bit-exact conservation checks stand
+ * on), member-order preservation, escapes, and hard failures on
+ * malformed input.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "diff/json_value.hpp"
+#include "trace/json_value.hpp"
 
 namespace {
 
-using cooprt::diff::JsonValue;
+using cooprt::trace::JsonValue;
 
 TEST(JsonValue, ScalarsParseWithExactKinds)
 {

@@ -5,8 +5,9 @@ Every user-facing binary must reject bad input the same way: a
 diagnostic on *stderr* and a non-zero exit status (2, the
 conventional usage-error code), never a silent success or a crash.
 Success paths (``--list-configs``, ``diff_cli``'s N-way and
-directory diffs, ``campaign_cli --diff-baseline`` with its counters)
-must exit 0.
+directory diffs and its markdown export, ``campaign_cli
+--diff-baseline`` with its counters, each query shader's default
+scene, the per-job memscope and telemetry sinks) must exit 0.
 
 Registered as a ctest case; the binary paths arrive on argv:
 
@@ -104,6 +105,22 @@ def expect_diff_counts(campaign: str, baseline: str, tmp: str,
     if len(lines) != comparisons:
         FAILURES.append(f"{label}: {len(lines)} diff lines, want "
                         f"{comparisons}")
+
+
+def expect_json_files(label: str, directory: str, suffix: str,
+                      count: int) -> None:
+    """@p directory holds @p count ``*SUFFIX`` files, each one
+    parseable JSON document."""
+    names = sorted(n for n in os.listdir(directory) if n.endswith(suffix))
+    if len(names) != count:
+        FAILURES.append(f"{label}: {len(names)} *{suffix} files, want "
+                        f"{count}")
+    for name in names:
+        try:
+            with open(os.path.join(directory, name)) as f:
+                json.load(f)
+        except json.JSONDecodeError as e:
+            FAILURES.append(f"{label}: {name} is not JSON ({e})")
 
 
 def main(argv: list[str]) -> int:
@@ -206,6 +223,19 @@ def main(argv: list[str]) -> int:
                 f"--mobile {mobile} (want the first two equal and "
                 f"unlike the third)")
 
+    # Each query shader defaults to a scene of its kind, and the
+    # report names the shader as its workload.
+    for shader, scene in (("knn", "ptsu"), ("radius", "ptsu"),
+                          ("contain", "amrs")):
+        p = run([simulate, "--shader", shader, "--resolution", "8",
+                 "--json"])
+        doc = json.loads(p.stdout) if p.returncode == 0 else {}
+        if (doc.get("scene"), doc.get("query", {}).get("workload")) != \
+                (scene, shader):
+            FAILURES.append(f"{simulate} --shader {shader}: exit "
+                            f"{p.returncode}, scene {doc.get('scene')!r}"
+                            f", want {scene!r} running {shader!r}")
+
     # bench binaries share bench_util's strict parser.
     expect([bench, "--no-such-flag"], 2, "unknown flag")
     expect([bench, "--scenes"], 2, "needs a value")
@@ -250,10 +280,24 @@ def main(argv: list[str]) -> int:
         else:
             expect([diff_cli, reports["wknd"], reports["fox"]], 2,
                    "mismatch")
-            # Matching keys diff cleanly (identity pair, exit 0).
+            # Matching keys diff cleanly (identity pair, exit 0), and
+            # the markdown export of that diff is written.
             expect([diff_cli, reports["wknd"], reports["wknd"]], 0)
+            md = os.path.join(tmp, "identity.md")
+            expect([diff_cli, "--quiet", "--markdown", md,
+                    reports["wknd"], reports["wknd"]], 0)
+            if not os.path.isfile(md) or os.path.getsize(md) == 0:
+                FAILURES.append(f"{diff_cli} --markdown: empty {md}")
             # A file cannot be diffed against a directory.
             expect([diff_cli, reports["wknd"], tmp], 2)
+            # A report with a raw newline inside a string is not JSON:
+            # an input error, even against itself.
+            broken = os.path.join(tmp, "raw-newline.json")
+            with open(reports["wknd"]) as f:
+                text = f.read().replace('"wknd"', '"wk\nnd"')
+            with open(broken, "w") as f:
+                f.write(text)
+            expect([diff_cli, broken, broken], 2, "raw control character")
             # N-way: every later input diffs against the first.
             expect_diff_lines(
                 diff_cli, [reports[n] for n in
@@ -291,6 +335,30 @@ def main(argv: list[str]) -> int:
                         os.path.join(swapped, "wknd_base.report.json"))
             expect_diff_counts(campaign, swapped, tmp, len(names) - 1,
                                1)
+        # The per-job sinks: one parseable file per job in each
+        # directory, one parseable event-log line per event.
+        sinks = {flag: os.path.join(tmp, flag.strip("-"))
+                 for flag in ("--memscope-dir", "--telemetry-dir",
+                              "--telemetry-log")}
+        p = run([campaign, "--scenes", "wknd,ship", "--configs",
+                 "base,coop", "--resolution", "16", "--jobs", "2",
+                 *(a for item in sinks.items() for a in item)])
+        if p.returncode != 0:
+            FAILURES.append(f"{campaign} per-job sinks: exit "
+                            f"{p.returncode}\n    stderr: "
+                            f"{p.stderr.strip()[:200]}")
+        else:
+            label = f"{campaign} per-job sinks"
+            for flag, suffix in (("--memscope-dir", ".memscope.json"),
+                                 ("--telemetry-dir", ".telemetry.json")):
+                expect_json_files(label, sinks[flag], suffix, 4)
+            with open(sinks["--telemetry-log"]) as f:
+                events = [json.loads(line) for line in f]
+            finished = sum(e["ev"] == "job_finish" for e in events)
+            if finished != 4:
+                FAILURES.append(f"{label}: {finished} job_finish "
+                                f"events, want 4")
+
         # Empty/missing baseline directories are usage errors.
         empty = os.path.join(tmp, "empty")
         os.mkdir(empty)
