@@ -4,7 +4,8 @@
  * intersection math the RT unit's math units model, BVH construction
  * and traversal, cache access, one full RT-unit trace, and the
  * observers' own hot paths (memscope's reuse-distance stack, the
- * metrics CSV writer). These are
+ * metrics CSV writer) and the query workloads' brute-force oracle.
+ * These are
  * host-performance benchmarks of the simulator itself (useful when
  * optimizing it), not simulated-GPU results.
  */
@@ -20,8 +21,10 @@
 #include "geom/rng.hpp"
 #include "mem/memory_system.hpp"
 #include "memscope/memscope.hpp"
+#include "query/query.hpp"
 #include "rtunit/rt_unit.hpp"
 #include "scene/generators.hpp"
+#include "scene/registry.hpp"
 #include "trace/metrics.hpp"
 #include "trace/registry.hpp"
 
@@ -270,6 +273,35 @@ BENCHMARK(BM_RtUnitFullTrace)
     ->Args({1, 0, 0})
     ->Args({1, 1, 0})
     ->Args({1, 0, 1});
+
+/**
+ * The query oracle alone (query::verifyAgainstOracle) over the
+ * knn_coop_ptsc frame: ptsc at 32x32 with the default QueryParams.
+ * Arg 0 checks Knn (k = 4), Arg 1 Radius. The store is left at its
+ * defaults: the oracle recomputes every query whatever it is
+ * compared against, so its cost does not depend on the stored
+ * results.
+ */
+void
+BM_QueryOracle(benchmark::State &state)
+{
+    constexpr int kSide = 32;
+    const scene::Scene &ptsc = scene::SceneRegistry::get("ptsc");
+    const query::Workload wl = state.range(0) == 0
+                                   ? query::Workload::Knn
+                                   : query::Workload::Radius;
+    const query::QueryParams params;
+    const query::ResultStore store(std::size_t(kSide * kSide));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(query::verifyAgainstOracle(
+            ptsc, wl, params, kSide, kSide, store));
+    state.SetItemsProcessed(state.iterations() * kSide * kSide);
+}
+BENCHMARK(BM_QueryOracle)
+    ->ArgName("radius")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

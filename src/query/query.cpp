@@ -1,5 +1,6 @@
 #include "query/query.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace cooprt::query {
@@ -263,6 +264,7 @@ makeQueryFrame(const scene::Scene &scene, Workload wl,
                ResultStore &store, int width, int height,
                const QueryParams &params)
 {
+    params.validate();
     const bool points = scene.kind == scene::SceneKind::PointCloud;
     const bool cells = scene.kind == scene::SceneKind::AmrCells;
     if ((wl == Workload::Contain && !cells) ||
@@ -291,11 +293,7 @@ makeQueryFrame(const scene::Scene &scene, Workload wl,
 
 namespace {
 
-/**
- * The closest point strictly beyond @p last and strictly inside
- * @p limit — the exact accept condition of geom::queryLeafTest over
- * a full scan, folding the identical distance expression.
- */
+/** One accepted (prim, value) of a brute-force scan. */
 struct Best
 {
     float value = geom::kNoHit;
@@ -304,22 +302,40 @@ struct Best
     bool found() const { return value != geom::kNoHit; }
 };
 
-Best
-scanNearest(const scene::Mesh &mesh, const Vec3 &q, float last,
-            float tmax)
+/**
+ * Every round of a Knn/Radius query in one pass: the (at most)
+ * @p rounds smallest distinct distances d with 0 < d < @p tmax, in
+ * ascending order, each held by the lowest prim reaching it. That is
+ * what rounds of the leaf test's accept rule give: round j rejects
+ * d <= round j-1's distance, so every prim at that exact float drops
+ * out, and a strict d < best keeps the first prim of the scan at a
+ * tie. The distance is the leaf test's own expression, compared as
+ * is: a squared distance could split one float shell into two.
+ */
+std::vector<Best>
+selectNearest(const scene::Mesh &mesh, const Vec3 &q, float tmax,
+              std::size_t rounds)
 {
-    Best b;
+    std::vector<Best> sel;
+    sel.reserve(std::min(rounds, mesh.size()));
+    float cut = tmax;
     for (std::uint32_t prim = 0; prim < mesh.size(); ++prim) {
         const float d = (mesh.tri(prim).v0 - q).length();
-        if (d <= last)
+        if (!(d > 0.0f && d < cut))
             continue;
-        const float limit = b.value < tmax ? b.value : tmax;
-        if (d >= limit)
-            continue;
-        b.value = d;
-        b.prim = prim;
+        const auto at = std::lower_bound(
+            sel.begin(), sel.end(), d,
+            [](const Best &b, float v) { return b.value < v; });
+        if (at != sel.end() && at->value == d)
+            continue; // a lower prim holds this distance
+        const auto pos = at - sel.begin();
+        if (sel.size() == rounds)
+            sel.pop_back();
+        sel.insert(sel.begin() + pos, Best{d, prim});
+        if (sel.size() == rounds)
+            cut = sel.back().value;
     }
-    return b;
+    return sel;
 }
 
 Best
@@ -340,6 +356,15 @@ scanContain(const scene::Mesh &mesh, const Vec3 &p)
     return b;
 }
 
+void
+foldResult(QueryResult &e, const Best &b)
+{
+    e.count++;
+    e.hash = hashStep(e.hash, b.prim, b.value);
+    e.last_prim = b.prim;
+    e.last_value = b.value;
+}
+
 /** The reference QueryResult of one query, by exhaustive scan. */
 QueryResult
 oracleQuery(const scene::Scene &scene, Workload wl,
@@ -348,39 +373,34 @@ oracleQuery(const scene::Scene &scene, Workload wl,
 {
     QueryResult e;
     Vec3 p = queryPointFor(domain, params.frame_seed, id);
-    float last = 0.0f;
 
-    const int rounds = wl == Workload::Knn      ? params.k
-                       : wl == Workload::Radius ? params.max_rounds
-                                                : params.steps;
+    if (wl == Workload::Contain) {
+        for (int r = 0; r < params.steps; ++r) {
+            e.rounds++;
+            const Best b = scanContain(scene.mesh, p);
+            if (b.found())
+                foldResult(e, b);
+            else
+                e.hash = hashStep(e.hash, 0xffffffffu, geom::kNoHit);
+            p = advectPoint(p, domain);
+        }
+        return e;
+    }
+
+    const int rounds =
+        wl == Workload::Knn ? params.k : params.max_rounds;
+    if (rounds <= 0)
+        return e;
     const float tmax =
         wl == Workload::Radius ? params.radius : geom::kNoHit;
-
-    for (int r = 0; r < rounds; ++r) {
-        e.rounds++;
-        const Best b = wl == Workload::Contain
-                           ? scanContain(scene.mesh, p)
-                           : scanNearest(scene.mesh, p, last, tmax);
-        if (wl == Workload::Contain) {
-            if (b.found()) {
-                e.count++;
-                e.hash = hashStep(e.hash, b.prim, b.value);
-                e.last_prim = b.prim;
-                e.last_value = b.value;
-            } else {
-                e.hash = hashStep(e.hash, 0xffffffffu, geom::kNoHit);
-            }
-            p = advectPoint(p, domain);
-            continue;
-        }
-        if (!b.found())
-            break;
-        e.count++;
-        e.hash = hashStep(e.hash, b.prim, b.value);
-        e.last_prim = b.prim;
-        e.last_value = b.value;
-        last = b.value;
-    }
+    const std::vector<Best> sel =
+        selectNearest(scene.mesh, p, tmax, std::size_t(rounds));
+    for (const Best &b : sel)
+        foldResult(e, b);
+    // A query that found fewer than `rounds` also issued the round
+    // that came back empty.
+    e.rounds =
+        std::uint32_t(std::min(sel.size() + 1, std::size_t(rounds)));
     return e;
 }
 

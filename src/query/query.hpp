@@ -20,10 +20,10 @@
  * `TraceJob::query` — so baseline vs CoopRT comparisons, stall
  * buckets, memscope heatmaps and ray provenance all apply unchanged.
  *
- * Results are stored per query id (scheduling-independent), summed
- * into an order-insensitive checksum, and cross-checked against
- * brute-force oracles that replay the exact per-round float
- * arithmetic: the simulator must match the oracle bit-for-bit.
+ * Results are stored per query id (scheduling-independent), folded
+ * in query-id order into a checksum, and cross-checked against
+ * brute-force oracles that fold the leaf test's exact float
+ * expressions: the simulator must match the oracle bit-for-bit.
  */
 
 #ifndef COOPRT_QUERY_QUERY_HPP
@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -78,6 +79,21 @@ struct QueryParams
     /** Per-round shading cost (result consumption + next-round
      *  setup), the analogue of the shaders' bounce cost. */
     gpu::ShadingCost shade_cost{6, 2, 4};
+
+    /** Validate parameter values; throws std::invalid_argument. */
+    void
+    validate() const
+    {
+        if (k < 1)
+            throw std::invalid_argument("query k >= 1");
+        if (max_rounds < 1)
+            throw std::invalid_argument("query max_rounds >= 1");
+        if (steps < 1)
+            throw std::invalid_argument("query steps >= 1");
+        // Written so that a NaN radius fails too.
+        if (!(radius > 0.0f))
+            throw std::invalid_argument("query radius > 0");
+    }
 };
 
 /**
@@ -132,7 +148,9 @@ class ResultStore
     std::uint64_t totalFound() const;
     /** Sum of per-query traversal rounds. */
     std::uint64_t totalRounds() const;
-    /** Order-insensitive fold over every per-query hash/count. */
+    /** Order-sensitive mix64 chain over every query's hash, count
+     *  and rounds, in query-id order; scheduling cannot change it
+     *  because results are stored by query id. */
     std::uint64_t checksum() const;
 
     /** Register the `query.*` probes; the destructor unregisters. */
@@ -212,7 +230,8 @@ advectPoint(const geom::Vec3 &p, const geom::AABB &domain)
  * into @p store, which must outlive the programs and hold
  * width*height entries.
  *
- * @throws std::invalid_argument when the scene kind does not match
+ * @throws std::invalid_argument when @p params fail
+ *         QueryParams::validate, or the scene kind does not match
  *         the workload (Knn/Radius need PointCloud, Contain needs
  *         AmrCells).
  */
@@ -222,9 +241,11 @@ makeQueryFrame(const scene::Scene &scene, Workload wl,
                const QueryParams &params);
 
 /**
- * Replay every query against a brute-force scan of all primitives,
+ * Recompute every query by a brute-force scan of all primitives,
  * folding the identical float expressions, and compare each
- * QueryResult field bit-for-bit against @p store.
+ * QueryResult field bit-for-bit against @p store. Knn and Radius
+ * select all of a query's rounds in one pass (DESIGN.md section
+ * 17.4); Contain scans once per step.
  */
 OracleCheck verifyAgainstOracle(const scene::Scene &scene, Workload wl,
                                 const QueryParams &params, int width,
